@@ -18,13 +18,6 @@ double MultiQueryOptimizer::SharedPlan::PredictedShardBoost(
                                               : 1.0;
 }
 
-double MultiQueryOptimizer::SharedPlan::PredictedResizeGain(
-    uint32_t from_shards, uint32_t to_shards, uint32_t num_keys) const {
-  const double from = ShardedCost(from_shards, num_keys);
-  const double to = ShardedCost(to_shards, num_keys);
-  return from > 0.0 && to > 0.0 ? from / to : 1.0;
-}
-
 Result<MultiQueryOptimizer::SharedPlan> MultiQueryOptimizer::Optimize(
     const std::vector<StreamQuery>& queries,
     const OptimizerOptions& options) {

@@ -68,15 +68,6 @@ class MultiQueryOptimizer {
     /// query's original plan single-threaded: PredictedBoost() times the
     /// effective shard count.
     double PredictedShardBoost(uint32_t num_shards, uint32_t num_keys) const;
-
-    /// Predicted critical-path speedup of re-scaling this plan from
-    /// `from_shards` to `to_shards` workers over a `num_keys` key space:
-    /// ShardedCost(from) / ShardedCost(to). Exactly 1 when the effective
-    /// width does not change (both clamp to the key space, or the plan is
-    /// keyless) — StreamSession's auto-resize policy uses this to veto
-    /// scale-ups that the model says cannot pay for their swap.
-    double PredictedResizeGain(uint32_t from_shards, uint32_t to_shards,
-                               uint32_t num_keys) const;
   };
 
   /// Optimizes a batch of queries jointly. All queries must target the

@@ -273,8 +273,8 @@ class ShardedExecutor {
 
   /// Instantaneous hand-off backlog: the worst shard's in-flight batch
   /// count as a fraction of its ring capacity, in [0, 1]. 0 in inline
-  /// mode (no rings). A cheap load signal for auto-resize policies —
-  /// sampled without quiescing, so it is a snapshot, not a high-water
+  /// mode (no rings). A cheap load signal (SessionStats::ring_occupancy)
+  /// — sampled without quiescing, so it is a snapshot, not a high-water
   /// mark.
   double RingOccupancy() const;
 

@@ -29,6 +29,18 @@ Status IngestStopped(size_t index, TimeT timestamp, const Status& cause) {
                     "): " + cause.message());
 }
 
+/// The admissible timestamp domain [0, kTimestampLimit) (window/window.h)
+/// as one unsigned compare: a negative timestamp wraps above the limit.
+bool InTimestampDomain(TimeT timestamp) {
+  return static_cast<uint64_t>(timestamp) <
+         static_cast<uint64_t>(kTimestampLimit);
+}
+
+Status TimestampOutOfDomain(TimeT timestamp) {
+  return Status::OutOfRange("timestamp " + std::to_string(timestamp) +
+                            " outside the admissible domain [0, 2^62)");
+}
+
 /// The recovery-side analogue of IngestStopped — the same stop-position
 /// contract, worded in changelog coordinates: the segment (by base
 /// sequence) and record index where replay had to stop, with the cause
@@ -39,26 +51,6 @@ Status RecoveryStopped(uint64_t segment_base, uint64_t record_index,
                 "recovery stopped at segment " +
                     std::to_string(segment_base) + ", record " +
                     std::to_string(record_index) + ": " + cause.message());
-}
-
-/// AutoResizeOptions kept lenient legacy defaults (min_shards or
-/// scale_down_checks of 0 were historically tolerated); ResizePolicy
-/// validates strictly, so sanitize at the boundary instead of aborting
-/// sessions that never enable the monitor.
-ResizePolicy::Options PolicyOptionsFrom(
-    const StreamSession::AutoResizeOptions& options) {
-  ResizePolicy::Options policy;
-  policy.min_shards = std::max(options.min_shards, 1u);
-  policy.max_shards = std::max(options.max_shards, policy.min_shards);
-  policy.scale_up_occupancy = options.scale_up_occupancy;
-  policy.scale_down_occupancy = options.scale_down_occupancy;
-  policy.scale_down_checks =
-      options.scale_down_checks > 0
-          ? static_cast<uint32_t>(options.scale_down_checks)
-          : 1u;
-  policy.target_rate_per_shard = std::max(options.target_rate_per_shard, 0.0);
-  policy.handoff_p99_budget_ns = options.handoff_p99_budget_ns;
-  return policy;
 }
 
 /// RateEstimator validates alpha strictly; a session with adaptive
@@ -81,7 +73,7 @@ TimeT MaxRange(const QueryPlan& plan) {
 }
 
 /// Copies rows [begin, end) of a columnar batch — the cold paths
-/// (mid-batch rejection, monitor-sample segmentation) re-slice so the
+/// (mid-batch rejection, drift-check segmentation) re-slice so the
 /// executor still sees columnar hand-offs.
 EventColumns SliceColumns(const EventColumns& columns, size_t begin,
                           size_t end) {
@@ -164,8 +156,6 @@ StreamSession::StreamSession(const Options& options)
       drift_replans_counter_(metrics_.GetCounter("session.drift_replans")),
       observed_eta_gauge_(metrics_.GetGauge("session.observed_eta")),
       throughput_eps_gauge_(metrics_.GetGauge("session.throughput_eps")),
-      handoff_hist_(metrics_.GetHistogram("executor.batch_handoff_ns")),
-      resize_policy_(PolicyOptionsFrom(options.auto_resize)),
       rate_(SanitizedRateAlpha(options.adaptive.rate_alpha)) {
   session_role_.AssertHeld();  // Constructing thread is the caller thread.
   FW_CHECK_GT(options.num_keys, 0u);
@@ -226,6 +216,12 @@ Result<QueryId> StreamSession::AddQuery(const StreamQuery& query,
   }
   if (query.agg == nullptr) {
     return Status::InvalidArgument("query without an aggregate function");
+  }
+  for (const Window& window : query.windows) {
+    if (window.range() > kMaxWindowRange) {
+      return Status::InvalidArgument(
+          "window " + window.ToString() + " exceeds the maximum range 2^60");
+    }
   }
   if (!SupportsSharing(query.agg)) {
     return Status::Unimplemented(
@@ -526,57 +522,7 @@ Status StreamSession::Resize(uint32_t new_num_shards) {
                        executor_ ? executor_->num_shards()
                                  : EffectiveShards(options_.num_shards,
                                                    options_.num_keys));
-  resize_policy_.OnApplied();
   return Status::OK();
-}
-
-void StreamSession::AutoResizeCheck(uint64_t events_at_sample,
-                                    TimeT wm_at_sample) {
-  const AutoResizeOptions& policy = options_.auto_resize;
-  // The throughput signal shares the drift detector's rate estimator;
-  // whichever monitor samples first feeds it the next delta.
-  if (policy.target_rate_per_shard > 0.0) {
-    ObserveRate(events_at_sample, wm_at_sample);
-  }
-  ResizeSignal signal;
-  signal.current_shards = executor_->num_shards();
-  signal.ring_occupancy = executor_->RingOccupancy();
-  ring_occupancy_gauge_->Set(signal.ring_occupancy);
-  if (policy.target_rate_per_shard > 0.0 && rate_.has_observations()) {
-    signal.rate_valid = true;
-    signal.observed_rate = rate_.rate();
-  }
-  if (policy.handoff_p99_budget_ns > 0 && telemetry::kEnabled) {
-    // Per-interval delta, not lifetime percentiles: an old congestion
-    // spike must not block scale-downs forever.
-    telemetry::HistogramSnapshot now = handoff_hist_->Snapshot();
-    signal.handoff_p99_ns = static_cast<uint64_t>(
-        telemetry::Delta(now, last_handoff_snap_).Percentile(0.99));
-    last_handoff_snap_ = now;
-  }
-
-  const uint32_t current = signal.current_shards;
-  const uint32_t target = resize_policy_.Decide(signal);
-  if (target == current) return;
-  // Every proposal — scale-up, scale-down, or out-of-bounds clamp —
-  // passes the same guards: a resize that cannot change the effective
-  // width (keyless plan, or already one shard per key) would churn
-  // executors for nothing, and a scale-up the cost model prices at gain
-  // <= 1 cannot pay for its swap. Vetoes report back to the policy so
-  // the hysteresis streak resets instead of re-firing a hopeless
-  // proposal every sample.
-  if (EffectiveShards(target, options_.num_keys) == current ||
-      (target > current && shared_ &&
-       shared_->PredictedResizeGain(current, target, options_.num_keys) <=
-           1.0)) {
-    resize_policy_.OnVetoed();
-    return;
-  }
-  // Best-effort: a failed resize (cannot happen for the plans a session
-  // admits — they always checkpoint) leaves the current width standing,
-  // to retry after a fresh streak.
-  Status status = Resize(target);
-  if (!status.ok()) resize_policy_.OnVetoed();
 }
 
 void StreamSession::ObserveRate(uint64_t events_at_sample,
@@ -794,6 +740,10 @@ Status StreamSession::CancelCrossover() {
 Status StreamSession::Push(const Event& event) {
   session_role_.AssertHeld();  // Public entry: caller thread only.
   FW_RETURN_IF_ERROR(CheckMutable());
+  if (!InTimestampDomain(event.timestamp)) {
+    return IngestStopped(0, event.timestamp,
+                         TimestampOutOfDomain(event.timestamp));
+  }
   if (options_.max_delay == 0 && event.timestamp < watermark_) {
     return IngestStopped(
         0, event.timestamp,
@@ -833,11 +783,6 @@ Status StreamSession::Push(const Event& event) {
   // earlier result era, and both routers feed the same sinks).
   if (cross_) cross_->executor->Push(event);
   executor_->Push(event);
-  if (options_.auto_resize.enabled &&
-      ++events_since_resize_check_ >= options_.auto_resize.check_interval) {
-    events_since_resize_check_ = 0;
-    AutoResizeCheck(events_pushed_, watermark_);
-  }
   if (options_.adaptive.enabled &&
       ++events_since_drift_check_ >= options_.adaptive.check_interval) {
     events_since_drift_check_ = 0;
@@ -862,24 +807,20 @@ Status StreamSession::PushColumns(const EventColumns& columns) {
   push_batch_size_hist_->Record(0, count);
   if (count == 0) return Status::OK();
 
-  // In-batch positions where a monitor's cadence crosses. Recording the
-  // position *and* the running watermark lets the checks below run with
-  // the exact stream position scalar Push would have seen — and carrying
-  // the counter remainders (instead of the old at-most-once-per-batch
-  // sampling) keeps the cadence identical across batch boundaries, so
-  // scalar and columnar ingestion of one stream make the same decisions
-  // at the same events.
+  // In-batch positions where the drift check's cadence crosses.
+  // Recording the position *and* the running watermark lets the check
+  // below run with the exact stream position scalar Push would have seen
+  // — and carrying the counter remainder (instead of at-most-once-per-
+  // batch sampling) keeps the cadence identical across batch boundaries,
+  // so scalar and columnar ingestion of one stream make the same
+  // decisions at the same events.
   struct SamplePoint {
-    size_t index;   // Event index within this batch.
-    TimeT wm;       // Watermark after accepting that event.
-    uint8_t kinds;  // Bit 0: resize check due. Bit 1: drift check due.
+    size_t index;  // Event index within this batch.
+    TimeT wm;      // Watermark after accepting that event.
   };
   std::vector<SamplePoint> samples;
-  const bool monitor_resize =
-      executor_ != nullptr && options_.auto_resize.enabled;
   const bool monitor_drift =
       executor_ != nullptr && options_.adaptive.enabled;
-  uint64_t resize_streak = events_since_resize_check_;
   uint64_t drift_streak = events_since_drift_check_;
 
   // Find the acceptable prefix under the ingestion contract — the same
@@ -892,6 +833,11 @@ Status StreamSession::PushColumns(const EventColumns& columns) {
   TimeT advanced = watermark_;
   for (size_t i = 0; i < count; ++i) {
     const TimeT timestamp = columns.timestamps[i];
+    if (!InTimestampDomain(timestamp)) {
+      cause = TimestampOutOfDomain(timestamp);
+      accepted = i;
+      break;
+    }
     if (options_.max_delay == 0 && timestamp < advanced) {
       cause = Status::InvalidArgument(
           "out-of-order event: timestamp " + std::to_string(timestamp) +
@@ -910,18 +856,11 @@ Status StreamSession::PushColumns(const EventColumns& columns) {
     if (timestamp > advanced) advanced = timestamp;
     watermark_lag_hist_->Record(
         0, static_cast<uint64_t>(advanced - columns.timestamps[i]));
-    uint8_t due = 0;
-    if (monitor_resize &&
-        ++resize_streak >= options_.auto_resize.check_interval) {
-      resize_streak = 0;
-      due |= 1;
-    }
     if (monitor_drift &&
         ++drift_streak >= options_.adaptive.check_interval) {
       drift_streak = 0;
-      due |= 2;
+      samples.push_back({i, advanced});
     }
-    if (due != 0) samples.push_back({i, advanced, due});
   }
 
   // Write-ahead for the whole accepted prefix, as one changelog record,
@@ -938,7 +877,6 @@ Status StreamSession::PushColumns(const EventColumns& columns) {
   watermark_ = advanced;
   events_pushed_ += accepted;
   events_pushed_counter_->Add(0, accepted);
-  if (monitor_resize) events_since_resize_check_ = resize_streak;
   if (monitor_drift) events_since_drift_check_ = drift_streak;
   if (!executor_) {
     events_dropped_ += accepted;
@@ -949,8 +887,8 @@ Status StreamSession::PushColumns(const EventColumns& columns) {
     // Split the accepted prefix at the sample points: each segment hands
     // off columnar (to both pipelines during a crossover, outgoing
     // first), then the due checks run at the boundary with that exact
-    // stream position — a mid-batch drift replan or resize applies to
-    // the remaining segments, just as it would between scalar pushes.
+    // stream position — a mid-batch drift replan applies to the
+    // remaining segments, just as it would between scalar pushes.
     size_t begin = 0;
     size_t next_sample = 0;
     while (begin < accepted) {
@@ -966,9 +904,7 @@ Status StreamSession::PushColumns(const EventColumns& columns) {
         executor_->PushColumns(segment);
       }
       if (sample) {
-        const uint64_t events_at = events_before + sample->index + 1;
-        if (sample->kinds & 1) AutoResizeCheck(events_at, sample->wm);
-        if (sample->kinds & 2) DriftCheck(events_at, sample->wm);
+        DriftCheck(events_before + sample->index + 1, sample->wm);
         // The *running* watermark, not the committed full-batch one:
         // completing against the latter could retire the old pipeline
         // while later rows in this batch still belong to its era.

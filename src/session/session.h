@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "adaptive/adaptive.h"
-#include "adaptive/resize_policy.h"
 #include "common/mutex.h"
 #include "common/status.h"
 #include "cost/runtime_profile.h"
@@ -127,10 +126,9 @@ using QueryId = uint64_t;
 /// session emits bitwise what a session that ran at the target width from
 /// the start would emit — no result is dropped, duplicated, or reordered,
 /// and churn replans and bounded-lateness disorder keep working across
-/// the swap. Options::auto_resize turns on a load monitor that samples
-/// the hand-off ring occupancy every few thousand events and re-scales
-/// within [min_shards, max_shards] automatically; because resizes are
-/// exact, *when* they trigger never affects results.
+/// the swap. Resize is the only way a running session changes width:
+/// there is no load-driven autoscaler, so the shard count a caller sets
+/// (Options::num_shards, then each Resize) is the count it runs at.
 ///
 /// Sessions are push-based and driven from one caller thread; with
 /// max_delay = 0 events must arrive in non-decreasing timestamp order
@@ -158,61 +156,6 @@ class StreamSession {
     kSideOutput,  // Count, then hand to Options::late_callback.
   };
 
-  /// Load-driven shard re-scaling (see the class comment). The monitor
-  /// runs on the Push thread: every check_interval accepted events it
-  /// samples the executor and asks the blended ResizePolicy
-  /// (adaptive/resize_policy.h) for a target width. Three signals blend
-  /// per sample:
-  ///
-  ///  * worst-shard SPSC ring occupancy (in-flight batches / ring
-  ///    capacity) — the legacy signal: scale up at scale_up_occupancy,
-  ///    count toward a scale-down at scale_down_occupancy;
-  ///  * the observed event rate η̂ (events per event-time unit, EWMA —
-  ///    AdaptiveOptions::rate_alpha), enabled by a non-zero
-  ///    target_rate_per_shard: scale up when η̂ exceeds target × current
-  ///    shards, allow a scale-down only when the halved topology would
-  ///    still absorb η̂. Event-time based, so the signal replays
-  ///    deterministically;
-  ///  * batch hand-off p99 over the sampling interval (telemetry
-  ///    histogram "executor.batch_handoff_ns"), enabled by a non-zero
-  ///    handoff_p99_budget_ns: over budget triggers scale-up and blocks
-  ///    scale-downs. Inert when telemetry is compiled out.
-  ///
-  /// Occupancy alone cannot see load from inline (1-shard) mode — there
-  /// are no rings there — so the occupancy-only monitor never scales
-  /// below 2 shards. With a rate target configured, the throughput
-  /// signal stays measurable at 1 shard, and the monitor can scale down
-  /// into inline mode and back out again. Scale-downs need
-  /// scale_down_checks consecutive cold samples (hysteresis: scale up
-  /// fast, down slowly); any vetoed proposal — width no-op (keyless
-  /// plans), predicted-gain rejection (SharedPlan::PredictedResizeGain),
-  /// resize failure — resets the streak so a hopeless resize backs off
-  /// instead of re-firing every sample. A session whose width lies
-  /// outside [min_shards, max_shards] is clamped back into range through
-  /// the same guards. Because resizes are exact, *when* they trigger
-  /// never affects results; every automatic resize counts in
-  /// SessionStats::resize_count, exactly like an explicit Resize.
-  struct AutoResizeOptions {
-    bool enabled = false;
-    uint32_t min_shards = 1;
-    uint32_t max_shards = 8;
-    /// Accepted events between monitor samples.
-    uint64_t check_interval = 8192;
-    double scale_up_occupancy = 0.5;
-    double scale_down_occupancy = 0.02;
-    /// Consecutive low samples required before scaling down (hysteresis:
-    /// scale up fast, down slowly).
-    int scale_down_checks = 4;
-    /// Events per event-time unit one shard is expected to absorb; a
-    /// non-zero value turns on the throughput signal (0 keeps the legacy
-    /// occupancy-only monitor, which never scales below 2 shards).
-    double target_rate_per_shard = 0.0;
-    /// Interval hand-off p99 ceiling in nanoseconds; non-zero turns on
-    /// the latency signal. Wall-clock based, so it steers only *when*
-    /// exact resizes happen — never what the session emits.
-    uint64_t handoff_p99_budget_ns = 0;
-  };
-
   /// Runtime-adaptive re-optimization (DESIGN.md §15): the session
   /// estimates the observed event rate η̂ (an EWMA over event time, fed
   /// every check_interval accepted events) and, when it drifts a factor
@@ -233,8 +176,7 @@ class StreamSession {
   /// SessionStats::drift_replans, never in `replans`.
   struct AdaptiveOptions {
     bool enabled = false;
-    /// EWMA weight of the newest rate observation, in (0, 1]. The one
-    /// rate estimator is shared with the auto-resize throughput signal.
+    /// EWMA weight of the newest rate observation, in (0, 1].
     double rate_alpha = 0.3;
     /// Accepted events between drift checks.
     uint64_t check_interval = 8192;
@@ -264,9 +206,6 @@ class StreamSession {
     /// Receives each late event under LatePolicy::kSideOutput; null means
     /// late events are only counted.
     LateEventCallback late_callback = nullptr;
-    /// Load-driven shard re-scaling; off by default (the shard count
-    /// only changes via explicit Resize calls).
-    AutoResizeOptions auto_resize = {};
     /// Feedback-driven re-optimization; off by default (the shared plan
     /// only changes via AddQuery/RemoveQuery).
     AdaptiveOptions adaptive = {};
@@ -354,13 +293,13 @@ class StreamSession {
     /// Model cost of the current shared plan at the current width
     /// (SharedPlan::ShardedCost — re-evaluated after every resize).
     double sharded_cost = 0.0;
-    /// Completed Resize calls (explicit and auto), and the wall-clock
-    /// latency of the most recent one.
+    /// Completed Resize calls, and the wall-clock latency of the most
+    /// recent one.
     uint64_t resize_count = 0;
     uint64_t last_resize_ns = 0;
     /// Observed event rate η̂ (events per event-time unit, EWMA); 0
     /// until the first rate observation — the estimator needs two
-    /// monitor samples with advancing event time. Cumulative across
+    /// drift checks with advancing event time. Cumulative across
     /// executor swaps (the estimator is session-owned).
     double observed_eta = 0.0;
     /// The η the current shared plan's costs were computed with: the
@@ -375,8 +314,9 @@ class StreamSession {
     /// topology was built (skew observability); empty while idle. Late
     /// events never count; reordered events count on release.
     std::vector<uint64_t> events_per_shard;
-    /// Instantaneous worst-shard hand-off backlog in [0, 1] — the signal
-    /// auto_resize samples. 0 for inline (1-shard) and idle sessions.
+    /// Instantaneous worst-shard hand-off backlog in [0, 1] (in-flight
+    /// batches / ring capacity), sampled when Stats() or Metrics() is
+    /// read. 0 for inline (1-shard), idle and finished sessions.
     double ring_occupancy = 0.0;
     /// Events that arrived behind the watermark (max_delay sessions):
     /// counted here — and side-output under LatePolicy::kSideOutput —
@@ -451,7 +391,8 @@ class StreamSession {
 
   /// Registers a query and replans the shared pipeline. The callback may
   /// be null (results counted but not delivered — useful for throughput
-  /// runs). On error the session is unchanged.
+  /// runs). Window ranges above kMaxWindowRange (2^60) are refused. On
+  /// error the session is unchanged.
   Result<QueryId> AddQuery(const StreamQuery& query,
                            ResultCallback callback = nullptr);
   /// SQL front end (see query/parser.h for the dialect).
@@ -473,8 +414,11 @@ class StreamSession {
   /// width.
   Status Resize(uint32_t new_num_shards);
 
-  /// Pushes one event through the shared plan. With max_delay = 0 events
-  /// must be timestamp-ordered and out-of-order events are rejected; with
+  /// Pushes one event through the shared plan. Timestamps must lie in
+  /// the admissible domain [0, 2^62) (kTimestampLimit, window/window.h);
+  /// an event outside it is rejected, never silently dropped, and does
+  /// not reach the changelog. With max_delay = 0 events must be
+  /// timestamp-ordered and out-of-order events are rejected; with
   /// max_delay > 0 disorder within the bound is reordered and deeper
   /// regressions follow the late policy (always OK). Events pushed while
   /// no query is live are counted and discarded.
@@ -642,15 +586,6 @@ class StreamSession {
   Status Rebuild(const std::vector<LiveQuery*>& live)
       FW_REQUIRES(session_role_);
 
-  /// One auto-resize policy step (see AutoResizeOptions), sampled at the
-  /// monitor cadence from Push/PushColumns while a pipeline is live.
-  /// `events_at_sample`/`wm_at_sample` pin the sample to a stream
-  /// position: the scalar path passes its running counters, the columnar
-  /// path the mid-batch values where the cadence crossed — so both paths
-  /// feed the rate estimator identical observations.
-  void AutoResizeCheck(uint64_t events_at_sample, TimeT wm_at_sample)
-      FW_REQUIRES(session_role_);
-
   /// Feeds the shared rate estimator the (events, event-time) delta
   /// since the previous observation, and publishes the rate gauges.
   void ObserveRate(uint64_t events_at_sample, TimeT wm_at_sample)
@@ -744,9 +679,9 @@ class StreamSession {
   telemetry::Counter* const events_dropped_counter_;
   telemetry::Counter* const replans_counter_;
   telemetry::Counter* const resizes_counter_;
-  /// Instantaneous gauges, published by Metrics()/AutoResizeCheck and
-  /// zeroed on idle-retire and Finish (a retired pipeline has no rings —
-  /// the gauge must not report the last live sample forever).
+  /// Instantaneous gauges, published by Metrics() and zeroed on
+  /// idle-retire and Finish (a retired pipeline has no rings — the gauge
+  /// must not report the last live sample forever).
   telemetry::Gauge* const ring_occupancy_gauge_;
   telemetry::Gauge* const live_queries_gauge_;
   telemetry::Gauge* const num_shards_gauge_;
@@ -762,10 +697,6 @@ class StreamSession {
   telemetry::Counter* const drift_replans_counter_;
   telemetry::Gauge* const observed_eta_gauge_;
   telemetry::Gauge* const throughput_eps_gauge_;
-  /// The executors' hand-off latency histogram ("executor.batch_handoff_
-  /// ns" — registry handles are name-stable, so this is the same object
-  /// every executor records into), read by the monitor's latency signal.
-  telemetry::Histogram* const handoff_hist_;
 
   QueryId next_id_ FW_GUARDED_BY(session_role_) = 1;
   /// Plan order.
@@ -820,15 +751,8 @@ class StreamSession {
   double last_replan_seconds_ FW_GUARDED_BY(session_role_) = 0.0;
   uint64_t resize_count_ FW_GUARDED_BY(session_role_) = 0;
   uint64_t last_resize_ns_ FW_GUARDED_BY(session_role_) = 0;
-  /// Auto-resize monitor: accepted events since the last sample, and the
-  /// blended decision policy (which owns the scale-down hysteresis —
-  /// including the reset-on-veto backoff).
-  uint64_t events_since_resize_check_ FW_GUARDED_BY(session_role_) = 0;
-  ResizePolicy resize_policy_ FW_GUARDED_BY(session_role_);
-
-  /// Shared observed-rate estimator (η̂): one EWMA feeds both the
-  /// auto-resize throughput signal and the drift detector, observed as
-  /// (events, event-time) deltas at whichever monitor samples next.
+  /// Observed-rate estimator (η̂) of the drift detector, fed
+  /// (events, event-time) deltas at each drift check.
   RateEstimator rate_ FW_GUARDED_BY(session_role_);
   bool rate_seeded_ FW_GUARDED_BY(session_role_) = false;
   uint64_t rate_last_events_ FW_GUARDED_BY(session_role_) = 0;
@@ -844,11 +768,6 @@ class StreamSession {
   uint64_t events_since_drift_check_ FW_GUARDED_BY(session_role_) = 0;
   uint64_t last_drift_replan_events_ FW_GUARDED_BY(session_role_) = 0;
   int drift_replans_ FW_GUARDED_BY(session_role_) = 0;
-
-  /// Previous "executor.batch_handoff_ns" snapshot: the latency signal
-  /// reads the histogram's per-interval delta, not lifetime percentiles.
-  telemetry::HistogramSnapshot last_handoff_snap_
-      FW_GUARDED_BY(session_role_);
 
   /// Durability manager (null unless Options::durability.enabled) and
   /// the sticky first durability failure: once an append or snapshot

@@ -51,19 +51,6 @@ double HistogramSnapshot::Percentile(double q) const {
   return static_cast<double>(BucketHigh(kHistogramBuckets - 1));
 }
 
-HistogramSnapshot Delta(const HistogramSnapshot& later,
-                        const HistogramSnapshot& earlier) {
-  HistogramSnapshot delta;
-  delta.count = later.count >= earlier.count ? later.count - earlier.count : 0;
-  delta.sum = later.sum >= earlier.sum ? later.sum - earlier.sum : 0;
-  for (uint32_t b = 0; b < kHistogramBuckets; ++b) {
-    delta.buckets[b] = later.buckets[b] >= earlier.buckets[b]
-                           ? later.buckets[b] - earlier.buckets[b]
-                           : 0;
-  }
-  return delta;
-}
-
 HistogramSnapshot Histogram::Snapshot() const {
   HistogramSnapshot snap;
 #if FW_TELEMETRY_ENABLED

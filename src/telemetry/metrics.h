@@ -215,16 +215,6 @@ struct HistogramSnapshot {
   }
 };
 
-/// Per-field difference of two snapshots of the *same* histogram —
-/// `later` taken after `earlier`. Histograms are monotone, so the delta
-/// is the distribution of samples recorded in between; interval readers
-/// (the auto-resize monitor's per-sample hand-off p99) use this instead
-/// of lifetime percentiles, which would flatten any recent shift.
-/// Subtraction saturates at 0 per field, so concurrent relaxed writers
-/// (cells read in different orders) can never produce a wrapped count.
-HistogramSnapshot Delta(const HistogramSnapshot& later,
-                        const HistogramSnapshot& earlier);
-
 /// Fixed-bucket log2 latency histogram, sharded like Counter. Record is
 /// a bit_width plus two relaxed adds (bucket count and value sum).
 class Histogram {

@@ -19,6 +19,10 @@ Result<Window> Window::Make(TimeT range, TimeT slide) {
   if (slide > range) {
     return Status::InvalidArgument("window slide must not exceed range");
   }
+  if (range > kMaxWindowRange) {
+    return Status::InvalidArgument("window range " + std::to_string(range) +
+                                   " exceeds the maximum 2^60");
+  }
   return Window(range, slide);
 }
 

@@ -13,6 +13,15 @@ namespace fw {
 /// one abstract time unit (the paper uses minutes/seconds interchangeably).
 using TimeT = int64_t;
 
+/// The admissible event-time domain: event timestamps lie in
+/// [0, kTimestampLimit) and window ranges are at most kMaxWindowRange.
+/// Every instance bound the engine derives from a timestamp (up to
+/// t + 2r) then stays below INT64_MAX, so no event-time sum can
+/// overflow. StreamSession rejects events outside the domain, and
+/// Window::Make and StreamSession::AddQuery refuse longer ranges.
+inline constexpr TimeT kTimestampLimit = TimeT{1} << 62;
+inline constexpr TimeT kMaxWindowRange = TimeT{1} << 60;
+
 /// Interval [start, end) in the interval representation of a window
 /// (paper §II-A.1). Left-closed, right-open.
 struct Interval {
@@ -35,7 +44,8 @@ class Window {
   /// for validated construction.
   Window(TimeT range, TimeT slide);
 
-  /// Validated construction: requires 0 < slide <= range.
+  /// Validated construction: requires 0 < slide <= range <=
+  /// kMaxWindowRange.
   static Result<Window> Make(TimeT range, TimeT slide);
 
   /// Convenience for tumbling windows W⟨r, r⟩.

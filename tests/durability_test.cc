@@ -947,6 +947,43 @@ TEST(SessionDurability, RecoverIsIdempotent) {
   EXPECT_EQ(again->session->Stats().events_pushed, first_pushed);
 }
 
+// Out-of-domain timestamps (negative, or at/after 2^62) are refused before
+// the write-ahead append: the changelog only ever holds events the
+// session accepted, so recovery replays exactly the accepted ones.
+TEST(SessionDurability, OutOfDomainEventsNeverReachTheChangelog) {
+  TempDir dir;
+  {
+    StreamSession::Options options;
+    options.num_keys = 2;
+    options.durability.enabled = true;
+    options.durability.dir = dir.path;
+    options.durability.snapshot_interval_events = 0;
+    StreamSession session(options);
+    ASSERT_TRUE(session.AddQuery(MakeQuery("MAX", 20, 20)).ok());
+    ASSERT_TRUE(session.Push({.timestamp = 1, .key = 0, .value = 1}).ok());
+    EXPECT_FALSE(session.Push({.timestamp = -3, .key = 0, .value = 1}).ok());
+    EXPECT_FALSE(
+        session.Push({.timestamp = kTimestampLimit, .key = 0, .value = 1})
+            .ok());
+    EventColumns columns;
+    columns.Append({.timestamp = 2, .key = 1, .value = 2});
+    columns.Append({.timestamp = -1, .key = 1, .value = 3});
+    Status status = session.PushColumns(columns);
+    EXPECT_NE(status.message().find("ingest stopped at event 1"),
+              std::string::npos)
+        << status.ToString();
+    // One AddQuery record, the scalar event, the one-row accepted prefix.
+    EXPECT_EQ(session.Stats().wal_records, 3u);
+  }
+  StreamSession::Options options;
+  options.num_keys = 2;
+  Result<StreamSession::RecoveryInfo> recovered =
+      StreamSession::Recover(dir.path, options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(recovered->durable_events, 2u);
+  EXPECT_EQ(recovered->session->Stats().events_pushed, 2u);
+}
+
 TEST(SessionDurability, RecoversChurnAndFinishedSessions) {
   TempDir dir;
   const std::vector<Event> events = GenerateSyntheticStream(200, 2, 9);

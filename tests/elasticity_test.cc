@@ -495,17 +495,15 @@ TEST(StatsLifecycle, RingOccupancyZeroesOnIdleRetireAndFinish) {
   StreamSession::Options options;
   options.num_keys = kKeys;
   options.num_shards = 4;
-  // Force the load monitor to sample occupancy continuously (thresholds
-  // that never trigger a resize), so the gauge has a live value to go
-  // stale from.
-  options.auto_resize.enabled = true;
-  options.auto_resize.min_shards = 4;
-  options.auto_resize.max_shards = 4;
-  options.auto_resize.check_interval = 512;
   StreamSession session(options);
   Result<QueryId> only = session.AddQuery(PerDevice(20));
   ASSERT_TRUE(only.ok());
-  for (const Event& event : events) ASSERT_TRUE(session.Push(event).ok());
+  for (size_t i = 0; i < events.size(); ++i) {
+    ASSERT_TRUE(session.Push(events[i]).ok());
+    // Publish the gauge mid-stream, so it has a live sample to go stale
+    // from.
+    if (i % 512 == 511) session.Metrics();
+  }
 
   ASSERT_TRUE(session.RemoveQuery(*only).ok());  // Idle-retire swap.
   StreamSession::SessionMetrics idle = session.Metrics();
@@ -550,118 +548,13 @@ TEST(Observability, EventsPerShardSumToDeliveredEvents) {
   ASSERT_TRUE(session.Finish().ok());
 }
 
-// --- Auto-resize policy ----------------------------------------------------
-
-// Forced thresholds make the policy deterministic: scale_up_occupancy 0
-// means every sample reads "overloaded".
-TEST(AutoResize, ScalesUpToMaxUnderForcedHighOccupancy) {
-  constexpr uint32_t kKeys = 16;
-  std::vector<Event> events = GenerateSyntheticStream(4000, kKeys, 59);
-  StreamSession::Options options;
-  options.num_keys = kKeys;
-  options.num_shards = 1;
-  options.auto_resize.enabled = true;
-  options.auto_resize.max_shards = 4;
-  options.auto_resize.check_interval = 512;
-  options.auto_resize.scale_up_occupancy = 0.0;
-  options.auto_resize.scale_down_occupancy = -1.0;  // Never down.
-  StreamSession session(options);
-
-  SessionResults results;
-  ASSERT_TRUE(session.AddQuery(PerDevice(20), Tagged(&results, 0)).ok());
-  for (const Event& event : events) ASSERT_TRUE(session.Push(event).ok());
-  ASSERT_TRUE(session.Finish().ok());
-
-  StreamSession::SessionStats stats = session.Stats();
-  EXPECT_EQ(stats.num_shards, 4u);  // 1 -> 2 -> 4.
-  EXPECT_EQ(stats.resize_count, 2u);
-  EXPECT_GT(stats.last_resize_ns, 0u);
-
-  // Exactness is unconditional: the auto-resized run matches 1-shard.
-  StreamSession::Options plain;
-  plain.num_keys = kKeys;
-  StreamSession reference(plain);
-  SessionResults expected;
-  ASSERT_TRUE(reference.AddQuery(PerDevice(20), Tagged(&expected, 0)).ok());
-  for (const Event& event : events) ASSERT_TRUE(reference.Push(event).ok());
-  ASSERT_TRUE(reference.Finish().ok());
-  EXPECT_EQ(results, expected);
-}
-
-TEST(AutoResize, ScalesDownWhenRingsSitEmpty) {
-  constexpr uint32_t kKeys = 16;
-  std::vector<Event> events = GenerateSyntheticStream(6000, kKeys, 60);
-  StreamSession::Options options;
-  options.num_keys = kKeys;
-  options.num_shards = 4;
-  options.auto_resize.enabled = true;
-  options.auto_resize.min_shards = 1;
-  options.auto_resize.max_shards = 4;
-  options.auto_resize.check_interval = 512;
-  options.auto_resize.scale_up_occupancy = 2.0;    // Never up.
-  options.auto_resize.scale_down_occupancy = 1.0;  // Always "idle".
-  options.auto_resize.scale_down_checks = 2;
-  StreamSession session(options);
-
-  ASSERT_TRUE(session.AddQuery(PerDevice(20)).ok());
-  for (const Event& event : events) ASSERT_TRUE(session.Push(event).ok());
-  ASSERT_TRUE(session.Finish().ok());
-
-  StreamSession::SessionStats stats = session.Stats();
-  // 4 -> 2 and no further: the monitor never steers into inline mode,
-  // where the occupancy signal would vanish and it could never recover.
-  EXPECT_EQ(stats.num_shards, 2u);
-  EXPECT_EQ(stats.resize_count, 1u);
-}
-
-TEST(AutoResize, ClampsASessionBelowMinShardsIntoRange) {
-  constexpr uint32_t kKeys = 8;
-  std::vector<Event> events = GenerateSyntheticStream(2000, kKeys, 61);
-  StreamSession::Options options;
-  options.num_keys = kKeys;
-  options.num_shards = 1;
-  options.auto_resize.enabled = true;
-  options.auto_resize.min_shards = 2;
-  options.auto_resize.max_shards = 4;
-  options.auto_resize.check_interval = 256;
-  options.auto_resize.scale_up_occupancy = 2.0;     // Never up by load.
-  options.auto_resize.scale_down_occupancy = -1.0;  // Never down.
-  StreamSession session(options);
-
-  ASSERT_TRUE(session.AddQuery(PerDevice(20)).ok());
-  for (const Event& event : events) ASSERT_TRUE(session.Push(event).ok());
-  ASSERT_TRUE(session.Finish().ok());
-  EXPECT_EQ(session.Stats().num_shards, 2u);  // The clamp, nothing more.
-  EXPECT_EQ(session.Stats().resize_count, 1u);
-}
-
-TEST(AutoResize, KeylessSessionNeverChurnsExecutors) {
-  // One key = one effective shard forever; the policy must not burn
-  // resize_count on swaps that cannot change the width.
-  std::vector<Event> events = GenerateSyntheticStream(3000, 1, 62);
-  StreamSession::Options options;
-  options.num_keys = 1;
-  options.auto_resize.enabled = true;
-  options.auto_resize.min_shards = 1;
-  options.auto_resize.max_shards = 8;
-  options.auto_resize.check_interval = 256;
-  options.auto_resize.scale_up_occupancy = 0.0;  // Begs to scale up.
-  StreamSession session(options);
-  ASSERT_TRUE(
-      session.AddQuery(Query().Max("v").From("fleet").Tumbling(20)).ok());
-  for (const Event& event : events) ASSERT_TRUE(session.Push(event).ok());
-  ASSERT_TRUE(session.Finish().ok());
-  EXPECT_EQ(session.Stats().num_shards, 1u);
-  EXPECT_EQ(session.Stats().resize_count, 0u);
-}
-
 // --- Runtime-adaptive optimization (DESIGN.md §15) --------------------------
 
 // Deterministic drifting workload: a dense phase (8 events per time
-// unit), a trough (one event every 4 units), then dense again. The
-// monitors read the *event-time* rate, so the trajectory they steer is
-// a pure function of this stream — reproducible run to run, and
-// identical across ingestion paths and shard counts.
+// unit), a trough (one event every 4 units), then dense again. The drift
+// detector reads the *event-time* rate, so the replans it triggers are a
+// pure function of this stream — reproducible run to run, and identical
+// across ingestion paths and shard counts.
 std::vector<Event> DriftingStream(size_t dense1, size_t trough,
                                   size_t dense2, uint32_t keys) {
   std::vector<Event> events;
@@ -691,127 +584,6 @@ int CountFactorOps(const QueryPlan& plan) {
     count += op.is_factor ? 1 : 0;
   }
   return count;
-}
-
-// The acceptance scenario for the throughput signal: a trough takes the
-// session all the way into inline (1-shard) mode, and the spike after it
-// scales back out — something the occupancy-only monitor structurally
-// cannot do (there are no rings at 1 shard, so occupancy reads 0
-// forever). Occupancy thresholds are neutralized so every decision is
-// rate-driven, hence deterministic.
-TEST(AutoResize, RateSignalScalesDownToInlineAndBackOut) {
-  constexpr uint32_t kKeys = 16;
-  const std::vector<Event> events = DriftingStream(8000, 3000, 8000, kKeys);
-
-  StreamSession::Options options;
-  options.num_keys = kKeys;
-  options.num_shards = 4;
-  options.auto_resize.enabled = true;
-  options.auto_resize.min_shards = 1;
-  options.auto_resize.max_shards = 4;
-  options.auto_resize.check_interval = 512;
-  options.auto_resize.scale_up_occupancy = 2.0;    // Never up by load.
-  options.auto_resize.scale_down_occupancy = 1.0;  // Always cold-eligible.
-  options.auto_resize.scale_down_checks = 2;
-  options.auto_resize.target_rate_per_shard = 1.0;
-  // A sharp EWMA so the estimate tracks each phase change within a few
-  // monitor samples.
-  options.adaptive.rate_alpha = 0.7;
-  StreamSession session(options);
-  SessionResults results;
-  ASSERT_TRUE(session.AddQuery(PerDevice(20), Tagged(&results, 0)).ok());
-
-  uint32_t min_width = 4;
-  for (size_t i = 0; i < events.size(); ++i) {
-    ASSERT_TRUE(session.Push(events[i]).ok());
-    if (i % 256 == 255) {
-      min_width = std::min(min_width, session.Stats().num_shards);
-    }
-  }
-  ASSERT_TRUE(session.Finish().ok());
-
-  StreamSession::SessionStats stats = session.Stats();
-  EXPECT_EQ(min_width, 1u);         // Trough: 4 -> 2 -> 1.
-  EXPECT_EQ(stats.num_shards, 4u);  // Spike: 1 -> 2 -> 4.
-  EXPECT_GE(stats.resize_count, 4u);
-  EXPECT_GT(stats.observed_eta, 1.0);  // Back in the dense phase.
-
-  // The elasticity invariant is unconditional: however the monitor
-  // steered, the output is bitwise what fixed-shard sessions emit.
-  auto reference = [&](uint32_t shards) {
-    StreamSession::Options plain;
-    plain.num_keys = kKeys;
-    plain.num_shards = shards;
-    StreamSession ref(plain);
-    SessionResults out;
-    EXPECT_TRUE(ref.AddQuery(PerDevice(20), Tagged(&out, 0)).ok());
-    for (const Event& e : events) EXPECT_TRUE(ref.Push(e).ok());
-    EXPECT_TRUE(ref.Finish().ok());
-    return out;
-  };
-  ExpectSameResults(results, reference(1), "rate-resized vs inline");
-  ExpectSameResults(results, reference(4), "rate-resized vs fixed 4-shard");
-}
-
-TEST(AutoResize, RateSignalScalesOutOfInlineMode) {
-  // From a standing start at 1 shard: occupancy reads 0 (no rings), so
-  // only the throughput signal can justify scaling out of inline mode.
-  constexpr uint32_t kKeys = 16;
-  const std::vector<Event> events = DriftingStream(4000, 0, 0, kKeys);
-
-  StreamSession::Options options;
-  options.num_keys = kKeys;
-  options.num_shards = 1;
-  options.auto_resize.enabled = true;
-  options.auto_resize.min_shards = 1;
-  options.auto_resize.max_shards = 4;
-  options.auto_resize.check_interval = 256;
-  options.auto_resize.scale_up_occupancy = 2.0;     // Occupancy can't help.
-  options.auto_resize.scale_down_occupancy = -1.0;  // Never down.
-  options.auto_resize.target_rate_per_shard = 1.0;
-  StreamSession session(options);
-  SessionResults results;
-  ASSERT_TRUE(session.AddQuery(PerDevice(20), Tagged(&results, 0)).ok());
-  for (const Event& e : events) ASSERT_TRUE(session.Push(e).ok());
-  ASSERT_TRUE(session.Finish().ok());
-
-  StreamSession::SessionStats stats = session.Stats();
-  EXPECT_EQ(stats.num_shards, 4u);  // η̂ = 8 over target 1: 1 -> 2 -> 4.
-  EXPECT_EQ(stats.resize_count, 2u);
-
-  StreamSession::Options plain;
-  plain.num_keys = kKeys;
-  StreamSession ref(plain);
-  SessionResults expected;
-  ASSERT_TRUE(ref.AddQuery(PerDevice(20), Tagged(&expected, 0)).ok());
-  for (const Event& e : events) ASSERT_TRUE(ref.Push(e).ok());
-  ASSERT_TRUE(ref.Finish().ok());
-  ExpectSameResults(results, expected, "rate scale-out vs inline");
-}
-
-TEST(AutoResize, KeylessClampProposalsAreVetoedNotChurned) {
-  // Regression: a width below min_shards is clamped back into range
-  // *through the same veto guards* as any other proposal. One key means
-  // one effective shard forever, so the clamp to min_shards = 4 can
-  // never change the width — it must be vetoed without burning an
-  // executor swap (the old guard ordering let the clamp bypass the
-  // width no-op check and churn the executor every sample).
-  std::vector<Event> events = GenerateSyntheticStream(3000, 1, 64);
-  StreamSession::Options options;
-  options.num_keys = 1;
-  options.auto_resize.enabled = true;
-  options.auto_resize.min_shards = 4;
-  options.auto_resize.max_shards = 8;
-  options.auto_resize.check_interval = 256;
-  options.auto_resize.scale_up_occupancy = 2.0;
-  options.auto_resize.scale_down_occupancy = -1.0;
-  StreamSession session(options);
-  ASSERT_TRUE(
-      session.AddQuery(Query().Max("v").From("fleet").Tumbling(20)).ok());
-  for (const Event& event : events) ASSERT_TRUE(session.Push(event).ok());
-  ASSERT_TRUE(session.Finish().ok());
-  EXPECT_EQ(session.Stats().num_shards, 1u);
-  EXPECT_EQ(session.Stats().resize_count, 0u);
 }
 
 // The drift detector closing the paper's §VI loop mid-stream: Example
@@ -921,12 +693,12 @@ TEST(AdaptiveSession, RecostOnlyDriftAdoptsTheObservedRateInPlace) {
 }
 
 TEST(AdaptiveSession, ColumnarIngestionMatchesScalarMonitorCadence) {
-  // Regression: PushColumns used to sample the monitors at most once
-  // per batch, so a columnar run made different (fewer) resize and
-  // drift decisions than the same stream pushed one event at a time.
-  // The monitors now fire mid-batch at exactly the scalar cadence, with
-  // the remainder carried across batches — every decision statistic
-  // must match bit for bit, not just the results.
+  // Regression: PushColumns used to sample the drift detector at most
+  // once per batch, so a columnar run made different (fewer) drift
+  // decisions than the same stream pushed one event at a time. The
+  // check now fires mid-batch at exactly the scalar cadence, with the
+  // remainder carried across batches — every decision statistic must
+  // match bit for bit, not just the results.
   constexpr uint32_t kKeys = 8;
   const std::vector<Event> events = DriftingStream(4000, 1500, 4000, kKeys);
 
@@ -934,14 +706,6 @@ TEST(AdaptiveSession, ColumnarIngestionMatchesScalarMonitorCadence) {
     StreamSession::Options options;
     options.num_keys = kKeys;
     options.num_shards = 2;
-    options.auto_resize.enabled = true;
-    options.auto_resize.min_shards = 1;
-    options.auto_resize.max_shards = 4;
-    options.auto_resize.check_interval = 512;
-    options.auto_resize.scale_up_occupancy = 2.0;
-    options.auto_resize.scale_down_occupancy = 1.0;
-    options.auto_resize.scale_down_checks = 2;
-    options.auto_resize.target_rate_per_shard = 1.0;
     options.adaptive.enabled = true;
     options.adaptive.rate_alpha = 0.7;
     options.adaptive.check_interval = 512;
@@ -966,15 +730,13 @@ TEST(AdaptiveSession, ColumnarIngestionMatchesScalarMonitorCadence) {
   auto [scalar_results, scalar_stats] = run(false);
   auto [columnar_results, columnar_stats] = run(true);
   ExpectSameResults(columnar_results, scalar_results, "columnar vs scalar");
-  EXPECT_EQ(columnar_stats.resize_count, scalar_stats.resize_count);
   EXPECT_EQ(columnar_stats.drift_replans, scalar_stats.drift_replans);
   EXPECT_EQ(columnar_stats.num_shards, scalar_stats.num_shards);
   EXPECT_DOUBLE_EQ(columnar_stats.observed_eta, scalar_stats.observed_eta);
   EXPECT_DOUBLE_EQ(columnar_stats.planned_eta, scalar_stats.planned_eta);
   EXPECT_EQ(columnar_stats.events_pushed, scalar_stats.events_pushed);
-  // The workload actually drives both loops — this is not a vacuous
-  // comparison of two idle monitors.
-  EXPECT_GE(scalar_stats.resize_count, 1u);
+  // The workload actually drives the detector — this is not a vacuous
+  // comparison of two idle detectors.
   EXPECT_GE(scalar_stats.drift_replans, 1);
 }
 
@@ -991,11 +753,13 @@ TEST(ResizeGain, TracksEffectiveWidthRatio) {
       MultiQueryOptimizer::Optimize({q});
   ASSERT_TRUE(shared.ok());
   // 1 -> 4 over 16 keys: 4x the workers on the critical path.
-  EXPECT_DOUBLE_EQ(shared->PredictedResizeGain(1, 4, 16), 4.0);
-  // 4 -> 8 over 4 keys: both clamp to 4 — no gain, the policy's veto.
-  EXPECT_DOUBLE_EQ(shared->PredictedResizeGain(4, 8, 4), 1.0);
+  EXPECT_DOUBLE_EQ(shared->ShardedCost(1, 16) / shared->ShardedCost(4, 16),
+                   4.0);
+  // 4 -> 8 over 4 keys: both clamp to 4 — the same critical path.
+  EXPECT_DOUBLE_EQ(shared->ShardedCost(8, 4), shared->ShardedCost(4, 4));
   // Narrowing is the reciprocal.
-  EXPECT_DOUBLE_EQ(shared->PredictedResizeGain(4, 2, 16), 0.5);
+  EXPECT_DOUBLE_EQ(shared->ShardedCost(4, 16) / shared->ShardedCost(2, 16),
+                   0.5);
 }
 
 }  // namespace

@@ -206,18 +206,9 @@ void RunCase(const FuzzCase& c, uint32_t shards, bool apply_resizes,
   options.num_shards = shards;
   options.max_delay = c.max_delay;
   if (adaptive) {
-    // The full feedback loop, tuned twitchy so it actually fires within
-    // a few-thousand-event case: rate-driven auto-resize with the
-    // occupancy terms neutralized (decisions replay deterministically
-    // from event time), plus drift replans at a low threshold.
-    options.auto_resize.enabled = true;
-    options.auto_resize.min_shards = 1;
-    options.auto_resize.max_shards = 4;
-    options.auto_resize.check_interval = 384;
-    options.auto_resize.scale_up_occupancy = 2.0;
-    options.auto_resize.scale_down_occupancy = 1.0;
-    options.auto_resize.scale_down_checks = 2;
-    options.auto_resize.target_rate_per_shard = 0.5;
+    // The drift detector, tuned twitchy so it actually fires within a
+    // few-thousand-event case (decisions replay deterministically from
+    // event time).
     options.adaptive.enabled = true;
     options.adaptive.check_interval = 384;
     options.adaptive.rate_alpha = 0.5;
@@ -340,7 +331,7 @@ void RunSeed(uint64_t seed) {
 // Stretches the middle third of the stream's time span by 8x: the
 // observed rate η̂ drops to ~1/8 of the generator's pace there and
 // recovers after, so an adaptive subject crosses the drift threshold
-// (and the rate-driven resize signal swings both ways) mid-case. The
+// both ways mid-case. The
 // map is monotone in the timestamp, so disorder order relations are
 // preserved — time displacements grow in the stretched region, but
 // identically for subject and oracle, and the oracle defines truth.
@@ -363,9 +354,8 @@ void StretchMiddleThird(std::vector<Event>* events) {
 }
 
 // Same oracle discipline as RunSeed, but the subject additionally runs
-// the runtime feedback loop — the throughput resize signal (down to
-// inline mode and back) and drift-triggered replans — over a stream
-// whose rate genuinely drifts. AddQuery/RemoveQuery ops are excluded:
+// drift-triggered replans, interleaved with the case's explicit Resize
+// schedule, over a stream whose rate genuinely drifts. AddQuery/RemoveQuery ops are excluded:
 // once a drift replan adopts the observed η, a later churn replan
 // optimizes at that η and may legitimately pick a different plan
 // structure than the static-η oracle's. The invariant adaptivity owes
@@ -393,7 +383,7 @@ void RunAdaptiveSeed(uint64_t seed) {
   // but not bitwise equal to the static oracle. That ULP drift is
   // inherent to changing the plan, not an adaptivity bug; their
   // state-handoff exactness is pinned by the non-adaptive differential
-  // above. Here the point is the crossover/monitor machinery, so draw
+  // above. Here the point is the crossover machinery, so draw
   // from the regroup-exact aggregates: idempotent extrema, event
   // selection, and exact set cardinality.
   static const char* const kExactPalette[] = {"MIN", "MAX", "FIRST", "LAST",
@@ -407,8 +397,8 @@ void RunAdaptiveSeed(uint64_t seed) {
                                   &oracle));
   ASSERT_FALSE(oracle.results.empty());
 
-  // Manual resizes, auto-resizes, drift replans, and columnar batching
-  // all differ from the oracle at once.
+  // Manual resizes, drift replans, and columnar batching all differ from
+  // the oracle at once.
   RunOutput subject;
   ASSERT_NO_FATAL_FAILURE(RunCase(c, c.initial_shards, /*apply_resizes=*/true,
                                   /*columnar_seed=*/seed * 2 + 1,

@@ -367,6 +367,121 @@ TEST(StreamSession, PushBatchReportsFirstRejectedEvent) {
   EXPECT_TRUE(session.Push({.timestamp = 8, .key = 0, .value = 4.0}).ok());
 }
 
+// The admissible timestamp domain is [0, 2^62) (kTimestampLimit). Engine
+// instances open only at m >= 0, so a negative timestamp would be
+// accepted and then aggregated nowhere; it must be rejected instead, by
+// every ingestion entry point, under the shared error wording.
+TEST(StreamSession, NegativeTimestampsAreRejected) {
+  ResultMap results;
+  StreamSession session;
+  ASSERT_TRUE(session.AddQuery(Dashboard(20), CollectInto(&results)).ok());
+  for (TimeT t = -100; t < -50; ++t) {
+    Status status = session.Push({.timestamp = t, .key = 0, .value = 1.0});
+    EXPECT_EQ(status.code(), StatusCode::kOutOfRange) << status.ToString();
+    EXPECT_NE(status.message().find("ingest stopped at event 0 (timestamp " +
+                                    std::to_string(t) + ")"),
+              std::string::npos)
+        << status.message();
+  }
+  EXPECT_EQ(session.Stats().events_pushed, 0u);
+
+  std::vector<Event> batch = {
+      {.timestamp = 0, .key = 0, .value = 1.0},
+      {.timestamp = 3, .key = 0, .value = 2.0},
+      {.timestamp = -1, .key = 0, .value = 3.0},
+      {.timestamp = 4, .key = 0, .value = 4.0},
+  };
+  Status rows = session.PushBatch(batch);
+  EXPECT_EQ(rows.code(), StatusCode::kOutOfRange);
+  EXPECT_NE(rows.message().find("ingest stopped at event 2 (timestamp -1)"),
+            std::string::npos)
+      << rows.message();
+  EXPECT_EQ(session.Stats().events_pushed, 2u);  // The accepted prefix.
+
+  EventColumns columns;
+  columns.Append({.timestamp = -7, .key = 0, .value = 1.0});
+  columns.Append({.timestamp = 5, .key = 0, .value = 1.0});
+  Status cols = session.PushColumns(columns);
+  EXPECT_EQ(cols.code(), StatusCode::kOutOfRange);
+  EXPECT_NE(cols.message().find("ingest stopped at event 0 (timestamp -7)"),
+            std::string::npos)
+      << cols.message();
+  EXPECT_EQ(session.Stats().events_pushed, 2u);
+
+  ASSERT_TRUE(session.Finish().ok());
+  // Only the two in-domain events were aggregated: one [0, 20) result.
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results.begin()->second, 1.0);
+}
+
+// Near INT64_MAX the engine's instance bounds (m*s + r, the next open
+// start) would overflow; such a timestamp used to hang Push. Timestamps
+// at or past 2^62 are rejected, the top of the domain stays usable, and
+// window ranges past 2^60 are refused so t + 2r cannot overflow either.
+TEST(StreamSession, TimestampsPastTheDomainAreRejected) {
+  const TimeT huge = std::numeric_limits<TimeT>::max() - 5;
+  // A long window, though far from the longest: the optimizer's
+  // candidate search walks the multiples of each eligible slide up to the
+  // range, so planning time grows with it.
+  const TimeT range = TimeT{1} << 20;
+  for (uint32_t shards : {1u, 2u}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    ResultMap results;
+    StreamSession::Options options;
+    options.num_keys = 2;
+    options.num_shards = shards;
+    options.max_delay = 8;
+    StreamSession session(options);
+    ASSERT_TRUE(session
+                    .AddQuery(Dashboard(range).PerKey("device"),
+                              CollectInto(&results))
+                    .ok());
+    Status status = session.Push({.timestamp = huge, .key = 0, .value = 1.0});
+    EXPECT_EQ(status.code(), StatusCode::kOutOfRange) << status.ToString();
+    EXPECT_NE(status.message().find("ingest stopped at event 0 (timestamp " +
+                                    std::to_string(huge) + ")"),
+              std::string::npos)
+        << status.message();
+    EXPECT_EQ(
+        session.Push({.timestamp = kTimestampLimit, .key = 0, .value = 1.0})
+            .code(),
+        StatusCode::kOutOfRange);
+
+    EventColumns columns;
+    columns.Append({.timestamp = kTimestampLimit - 2, .key = 0, .value = 2.0});
+    columns.Append({.timestamp = kTimestampLimit - 1, .key = 1, .value = 3.0});
+    columns.Append({.timestamp = huge, .key = 0, .value = 4.0});
+    Status cols = session.PushColumns(columns);
+    EXPECT_EQ(cols.code(), StatusCode::kOutOfRange);
+    EXPECT_NE(cols.message().find("ingest stopped at event 2"),
+              std::string::npos)
+        << cols.message();
+    EXPECT_EQ(session.Stats().events_pushed, 2u);
+
+    // The window over the largest timestamps closes and emits.
+    ASSERT_TRUE(session.Finish().ok());
+    const TimeT start = kTimestampLimit - range;
+    ResultMap expected = {{{0, start, kTimestampLimit, 0}, 2.0},
+                          {{0, start, kTimestampLimit, 1}, 3.0}};
+    EXPECT_EQ(results, expected);
+  }
+
+  // Longer ranges are refused at Window::Make (the builder's path) and at
+  // AddQuery (a StreamQuery whose window skipped Make's checks).
+  EXPECT_FALSE(Window::Make(kMaxWindowRange + 1, 1).ok());
+  StreamSession session;
+  EXPECT_FALSE(session.AddQuery(Dashboard(kMaxWindowRange + 1)).ok());
+  StreamQuery query;
+  query.source = "telemetry";
+  query.agg = Agg("MIN");
+  ASSERT_TRUE(query.windows.Add(Window(kMaxWindowRange * 2, 8)).ok());
+  Result<QueryId> added = session.AddQuery(query);
+  EXPECT_EQ(added.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(added.status().message().find("maximum range"), std::string::npos)
+      << added.status().ToString();
+  EXPECT_EQ(session.num_queries(), 0u);
+}
+
 TEST(StreamSession, IdleSessionDropsEventsAndRevives) {
   StreamSession session;
   ASSERT_TRUE(session.Push({.timestamp = 1, .key = 0, .value = 1.0}).ok());
