@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""perf_smoke: CI performance gates over bench_engine_micro JSON output.
+"""perf_smoke: CI performance gates over benchmark JSON output.
 
 Two modes, both gating on a *geometric mean* of per-benchmark
 items_per_second ratios (single micro-benchmarks are noisy in shared CI
@@ -19,6 +19,15 @@ runners; individual outliers are still printed for triage):
 
       perf_smoke.py --columnar results.json [--min-ratio 1.15]
 
+* Durable ingest floor (DESIGN.md §16). Reads one or more
+  bench_durability result files and divides each run's
+  BM_DurableIngest/fsync_none rate by the same run's non-durable
+  BM_DurableIngest/baseline, failing if the *median* ratio over the runs
+  drops below the floor (a median, so one stalled run on a shared runner
+  cannot fail the gate and one lucky run cannot pass it):
+
+      perf_smoke.py --durable run1.json [run2.json ...] [--min-ratio 0.5]
+
 * Shape check. Validates that each FILE is a benchmark result with a
   non-empty "benchmarks" array whose entries carry positive
   items_per_second values — the gate CI's bench smoke runs over
@@ -34,6 +43,7 @@ with a named file and reason rather than a traceback.
 import argparse
 import json
 import math
+import statistics
 import sys
 
 
@@ -162,6 +172,43 @@ def run_columnar(opts):
                 % opts.min_ratio)
 
 
+DURABLE_BENCH = "BM_DurableIngest/fsync_none"
+BASELINE_BENCH = "BM_DurableIngest/baseline"
+
+
+def run_durable(opts):
+    floor = opts.min_ratio
+    runs = []
+    for path in opts.durable_paths:
+        rates = load_items_per_second(path)
+        missing = [n for n in (BASELINE_BENCH, DURABLE_BENCH) if n not in rates]
+        if missing:
+            print("perf_smoke: %s lacks %s — not a bench_durability result"
+                  % (path, ", ".join(missing)))
+            return 2
+        runs.append((path, rates))
+
+    print("%-44s %14s %14s %8s" % ("run", "baseline it/s", "fsync_none it/s",
+                                   "ratio"))
+    ratios = []
+    for path, rates in runs:
+        ratio = rates[DURABLE_BENCH] / rates[BASELINE_BENCH]
+        flag = "  <-- slow" if ratio < floor else ""
+        print("%-44s %14.0f %14.0f %7.3fx%s"
+              % (path, rates[BASELINE_BENCH], rates[DURABLE_BENCH], ratio,
+                 flag))
+        ratios.append(ratio)
+    median = statistics.median(ratios)
+    print("median fsync_none/baseline ratio over %d run(s): %.4fx "
+          "(floor %.2fx)" % (len(ratios), median, floor))
+    if median < floor:
+        print("perf_smoke: FAIL — durable ingest fell below %.2fx of the "
+              "non-durable baseline" % floor)
+        return 1
+    print("perf_smoke: OK")
+    return 0
+
+
 def run_check(paths):
     """Shape gate: every file must load as a benchmark result with at
     least one positive items_per_second entry (load_items_per_second
@@ -185,8 +232,14 @@ def main(argv):
     parser.add_argument("--columnar", dest="columnar_path",
                         help="benchmark json holding scalar and *Columns "
                              "twins; gates columnar/scalar speedup")
-    parser.add_argument("--min-ratio", type=float, default=1.15,
-                        help="columnar geomean speedup floor (default 1.15)")
+    parser.add_argument("--durable", dest="durable_paths", nargs="+",
+                        metavar="FILE",
+                        help="bench_durability json(s); gates the median "
+                             "fsync_none/baseline throughput ratio")
+    parser.add_argument("--min-ratio", type=float, default=None,
+                        help="floor for --columnar (geomean speedup, "
+                             "default 1.15) or --durable (median ratio, "
+                             "default 0.5)")
     parser.add_argument("--check", dest="check_paths", nargs="+",
                         metavar="FILE",
                         help="validate benchmark result files: each needs "
@@ -195,18 +248,24 @@ def main(argv):
     opts = parser.parse_args(argv)
 
     modes = [bool(opts.check_paths), bool(opts.columnar_path),
-             bool(opts.on_path or opts.off_path)]
+             bool(opts.durable_paths), bool(opts.on_path or opts.off_path)]
     if sum(modes) > 1:
-        print("perf_smoke: --check, --columnar, and --on/--off are "
-              "mutually exclusive")
+        print("perf_smoke: --check, --columnar, --durable, and --on/--off "
+              "are mutually exclusive")
         return 2
     if opts.check_paths:
         return run_check(opts.check_paths)
     if opts.columnar_path:
+        if opts.min_ratio is None:
+            opts.min_ratio = 1.15
         return run_columnar(opts)
+    if opts.durable_paths:
+        if opts.min_ratio is None:
+            opts.min_ratio = 0.5
+        return run_durable(opts)
     if not opts.on_path or not opts.off_path:
-        print("perf_smoke: need --check FILE..., --columnar FILE, or both "
-              "--on and --off")
+        print("perf_smoke: need --check FILE..., --columnar FILE, "
+              "--durable FILE..., or both --on and --off")
         return 2
     return run_overhead(opts)
 

@@ -2,10 +2,12 @@
 
 #include <dirent.h>
 #include <fcntl.h>
+#include <sys/mman.h>
 #include <sys/stat.h>
 #include <sys/types.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -18,22 +20,22 @@ namespace durability {
 
 namespace {
 
+/// Largest single growth of a writer's reserved space.
+constexpr uint64_t kMaxGrowthStep = uint64_t{1} << 20;
+/// u32 length + u32 crc + type byte.
+constexpr uint64_t kFrameHeaderBytes = 9;
+
 std::string ErrnoText(const char* what, const std::string& path) {
   return std::string(what) + " " + path + ": " + std::strerror(errno);
 }
 
-Status WriteAll(int fd, const char* data, size_t size,
-                const std::string& path) {
-  while (size > 0) {
-    const ssize_t n = ::write(fd, data, size);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::Internal(ErrnoText("write", path));
-    }
-    data += n;
-    size -= static_cast<size_t>(n);
-  }
-  return Status::OK();
+uint64_t PageSize() {
+  static const uint64_t page = static_cast<uint64_t>(::sysconf(_SC_PAGESIZE));
+  return page;
+}
+
+void StoreU32(char* out, uint32_t v) {
+  for (int i = 0; i < 4; ++i) out[i] = static_cast<char>(v >> (8 * i));
 }
 
 }  // namespace
@@ -42,12 +44,49 @@ FramedFileWriter::~FramedFileWriter() { Close(); }
 
 Status FramedFileWriter::Open(const std::string& path) {
   FW_CHECK(fd_ < 0);  // One file per writer.
+  // O_RDWR: a shared writable mapping needs a readable descriptor.
   const int fd =
-      ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+      ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
   if (fd < 0) return Status::Internal(ErrnoText("open", path));
   fd_ = fd;
   bytes_ = 0;
+  reserved_ = 0;
   path_ = path;
+  return Status::OK();
+}
+
+Status FramedFileWriter::Reserve(uint64_t end) {
+  const uint64_t page = PageSize();
+  const uint64_t step = std::clamp(reserved_, page, kMaxGrowthStep);
+  const uint64_t target = (std::max(end, reserved_ + step) + page - 1) /
+                          page * page;
+  // On failure the file shrinks back to reserved_ bytes and the old
+  // mapping stays, so the writer's state is unchanged.
+  auto fail = [this](const char* what, int error) {
+    (void)::ftruncate(fd_, static_cast<off_t>(reserved_));
+    return Status::Internal(std::string(what) + " " + path_ + ": " +
+                            std::strerror(error));
+  };
+  // posix_fallocate (not ftruncate) so every page the mapping exposes is
+  // backed by allocated blocks: a store can never hit a full disk.
+  const int rc =
+      ::posix_fallocate(fd_, static_cast<off_t>(reserved_),
+                        static_cast<off_t>(target - reserved_));
+  if (rc != 0) return fail("fallocate", rc);
+  // The new window starts at the page holding the write cursor: a
+  // mapping holds at most one page of written frames, so a remap costs
+  // the same however long the file grows.
+  const uint64_t offset = bytes_ - bytes_ % page;
+  void* map = ::mmap(nullptr, target - offset, PROT_READ | PROT_WRITE,
+                     MAP_SHARED, fd_, static_cast<off_t>(offset));
+  // MAP_FAILED expands to a C-style cast inside <sys/mman.h>.
+  if (map == MAP_FAILED) {  // NOLINT(cppcoreguidelines-pro-type-cstyle-cast)
+    return fail("mmap", errno);
+  }
+  if (map_ != nullptr) (void)::munmap(map_, reserved_ - map_offset_);
+  map_ = static_cast<char*>(map);
+  map_offset_ = offset;
+  reserved_ = target;
   return Status::OK();
 }
 
@@ -57,16 +96,18 @@ Status FramedFileWriter::Append(uint8_t type, std::string_view payload) {
     return Status::InvalidArgument("frame payload too large: " +
                                    std::to_string(payload.size()) + " bytes");
   }
+  const uint64_t end = bytes_ + kFrameHeaderBytes + payload.size();
+  if (end > reserved_) FW_RETURN_IF_ERROR(Reserve(end));
   uint32_t crc = Crc32c(0, &type, 1);
   crc = Crc32c(crc, payload.data(), payload.size());
-  ByteWriter header;
-  header.U32(static_cast<uint32_t>(payload.size() + 1));
-  header.U32(crc);
-  header.U8(type);
-  FW_RETURN_IF_ERROR(
-      WriteAll(fd_, header.bytes().data(), header.bytes().size(), path_));
-  FW_RETURN_IF_ERROR(WriteAll(fd_, payload.data(), payload.size(), path_));
-  bytes_ += header.bytes().size() + payload.size();
+  char* out = map_ + (bytes_ - map_offset_);
+  StoreU32(out, static_cast<uint32_t>(payload.size() + 1));
+  StoreU32(out + 4, crc);
+  out[8] = static_cast<char>(type);
+  if (!payload.empty()) {
+    std::memcpy(out + kFrameHeaderBytes, payload.data(), payload.size());
+  }
+  bytes_ = end;
   return Status::OK();
 }
 
@@ -76,18 +117,38 @@ Status FramedFileWriter::Sync() {
   return Status::OK();
 }
 
+Status FramedFileWriter::Trim() {
+  if (map_ != nullptr) (void)::munmap(map_, reserved_ - map_offset_);
+  map_ = nullptr;
+  if (reserved_ == bytes_) return Status::OK();
+  if (::ftruncate(fd_, static_cast<off_t>(bytes_)) != 0) {
+    return Status::Internal(ErrnoText("ftruncate", path_));
+  }
+  reserved_ = bytes_;
+  return Status::OK();
+}
+
 Status FramedFileWriter::Close() {
   if (fd_ < 0) return Status::OK();
+  Status status = Trim();
   const int fd = fd_;
   fd_ = -1;
-  if (::close(fd) != 0) return Status::Internal(ErrnoText("close", path_));
-  return Status::OK();
+  if (::close(fd) != 0 && status.ok()) {
+    status = Status::Internal(ErrnoText("close", path_));
+  }
+  return status;
+}
+
+Status FramedFileWriter::Seal() {
+  FW_RETURN_IF_ERROR(Trim());
+  FW_RETURN_IF_ERROR(Sync());
+  return Close();
 }
 
 FramedBuffer::Outcome FramedBuffer::Next(Frame* frame) {
   const size_t remaining = bytes_.size() - pos_;
   if (remaining == 0) return Outcome::kEnd;
-  if (remaining < 9) {  // u32 length + u32 crc + type byte.
+  if (remaining < kFrameHeaderBytes) {
     torn_detail_ = "truncated frame header (" + std::to_string(remaining) +
                    " trailing bytes)";
     return Outcome::kTorn;

@@ -27,9 +27,22 @@ namespace durability {
 /// torn instead of driving a multi-gigabyte allocation.
 inline constexpr uint32_t kMaxFrameLength = 1u << 30;
 
-/// Appends frames to one file through a POSIX fd (created/truncated by
-/// Open). Writes go to the page cache; Sync() forces them to stable
-/// storage. Single-threaded, like everything the session owns.
+/// Appends frames to one file (created/truncated by Open) through a
+/// MAP_SHARED mapping of it (DESIGN.md §16). Append reserves file space
+/// with posix_fallocate — growing geometrically from one page, in steps
+/// of at most 1 MiB, remapping on growth — and copies the frame into the
+/// mapping: an acknowledged frame sits in the page cache without a
+/// syscall, so a process kill loses nothing. Space is always reserved
+/// before it is stored to, so a full disk or RLIMIT_FSIZE fails Append
+/// with a Status instead of raising SIGBUS.
+///
+/// While the file is open — and in a file a kill left behind — the
+/// reserved space past the last frame reads as zeros; FramedBuffer ends
+/// there ("implausible frame length 0"), which the changelog reader
+/// treats like any torn tail. Close() trims the file to its frames;
+/// Seal() also fsyncs it, the step before a file is published. Sync()
+/// forces the frames to stable storage and keeps the mapping.
+/// Single-threaded, like everything the session owns.
 class FramedFileWriter {
  public:
   FramedFileWriter() = default;
@@ -41,16 +54,29 @@ class FramedFileWriter {
   Status Open(const std::string& path);
   Status Append(uint8_t type, std::string_view payload);
   Status Sync();
-  /// Closes the fd without syncing; idempotent.
+  /// Unmaps, trims the file to its frames and closes it, without
+  /// syncing; idempotent.
   Status Close();
+  /// Close() plus an fsync of the trimmed file: afterwards the file on
+  /// stable storage is exactly its frames.
+  Status Seal();
 
   bool is_open() const { return fd_ >= 0; }
   uint64_t bytes_written() const { return bytes_; }
   const std::string& path() const { return path_; }
 
  private:
+  /// Reserves and maps file space for at least `end` bytes.
+  Status Reserve(uint64_t end);
+  /// Unmaps and truncates the file to bytes_ (drops the zero tail).
+  Status Trim();
+
   int fd_ = -1;
-  uint64_t bytes_ = 0;
+  uint64_t bytes_ = 0;     // Frame bytes appended.
+  uint64_t reserved_ = 0;  // File size: frames plus the zero tail.
+  /// The mapping covers file offsets [map_offset_, reserved_).
+  char* map_ = nullptr;
+  uint64_t map_offset_ = 0;
   std::string path_;
 };
 

@@ -9,8 +9,10 @@ namespace fw {
 /// When appended changelog bytes reach stable storage (DESIGN.md §16).
 /// The policy trades ingest throughput against the amount of recently
 /// admitted data a host crash (power loss, kernel panic) can lose; a
-/// mere process kill loses nothing under any policy, because the bytes
-/// are already in the page cache.
+/// mere process kill loses nothing under any policy, because an append
+/// is a store into a shared mapping of the changelog file: the bytes
+/// are in the page cache before Push returns, with no userspace buffer
+/// to lose.
 enum class FsyncPolicy : uint8_t {
   /// Never fsync the changelog; the OS flushes on its own schedule.
   kNone = 0,

@@ -144,9 +144,9 @@ Status WriteSnapshotFile(const std::string& dir,
   }
   FW_RETURN_IF_ERROR(writer.Append(kSnapEnd, std::string_view()));
   // The terminator is only meaningful if it is durable before the rename
-  // publishes the file.
-  FW_RETURN_IF_ERROR(writer.Sync());
-  FW_RETURN_IF_ERROR(writer.Close());
+  // publishes the file, and the published file must be exactly its
+  // frames: Seal trims the writer's zero tail, then fsyncs.
+  FW_RETURN_IF_ERROR(writer.Seal());
   return AtomicPublish(tmp_path, dir + "/" + final_name, dir);
 }
 

@@ -5,7 +5,9 @@
 // contract — write-ahead logging, snapshot truncation, fail-stop, and
 // StreamSession::Recover end to end (including recovery at a different
 // shard count, idempotent re-recovery, and the "recovery stopped at
-// segment S, record R" error wording).
+// segment S, record R" error wording). Two death tests end a forked
+// child for real: a SIGKILL loses no acknowledged record, and running
+// out of file space fails as a Status, never as SIGBUS.
 //
 // Also home of two format-hardening properties: serialize → deserialize →
 // serialize of a checkpoint-v3 payload is byte-identical, and no
@@ -14,10 +16,15 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/resource.h>
 #include <unistd.h>
 
+#include <csignal>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <map>
 #include <set>
 #include <string>
@@ -102,6 +109,12 @@ void TruncateFile(const std::string& path, size_t drop_bytes) {
   ASSERT_LE(drop_bytes, bytes.size());
   bytes.resize(bytes.size() - drop_bytes);
   WriteAll(path, bytes);
+}
+
+/// Extends `path` with zero bytes to `size`: the shape a killed writer
+/// leaves behind (reserved space past the last frame reads as zeros).
+void ZeroPadTo(const std::string& path, size_t size) {
+  ASSERT_EQ(::truncate(path.c_str(), static_cast<off_t>(size)), 0);
 }
 
 /// The single file in `dir` matching `parse`, or "" when there is not
@@ -230,6 +243,60 @@ TEST(FramedIo, CorruptLengthNeverDrivesHugeAllocation) {
   Frame frame;
   EXPECT_EQ(frames.Next(&frame), FramedBuffer::Outcome::kTorn);
   EXPECT_FALSE(frames.torn_detail().empty());
+}
+
+TEST(FramedIo, FrameLargerThanTheGrowthStepRoundTrips) {
+  // A multi-MiB checkpoint frame outgrows the writer's 1 MiB reservation
+  // step in one append; small frames on either side straddle the remaps.
+  TempDir dir;
+  const std::string path = dir.path + "/frames.bin";
+  std::string big(3u << 20, '\0');
+  for (size_t i = 0; i < big.size(); ++i) {
+    big[i] = static_cast<char>((i * 131) >> 7);
+  }
+  {
+    FramedFileWriter writer;
+    ASSERT_TRUE(writer.Open(path).ok());
+    ASSERT_TRUE(writer.Append(1, "head").ok());
+    ASSERT_TRUE(writer.Append(2, big).ok());
+    ASSERT_TRUE(writer.Append(3, "tail").ok());
+    EXPECT_EQ(writer.bytes_written(), 3 * 9 + 4 + big.size() + 4);
+    ASSERT_TRUE(writer.Close().ok());
+  }
+  const std::string bytes = ReadAll(path);
+  EXPECT_EQ(bytes.size(), 3 * 9 + 4 + big.size() + 4);
+  FramedBuffer frames(bytes);
+  Frame frame;
+  ASSERT_EQ(frames.Next(&frame), FramedBuffer::Outcome::kFrame);
+  EXPECT_EQ(frame.payload, "head");
+  ASSERT_EQ(frames.Next(&frame), FramedBuffer::Outcome::kFrame);
+  EXPECT_EQ(frame.type, 2);
+  EXPECT_TRUE(frame.payload == big);
+  ASSERT_EQ(frames.Next(&frame), FramedBuffer::Outcome::kFrame);
+  EXPECT_EQ(frame.payload, "tail");
+  EXPECT_EQ(frames.Next(&frame), FramedBuffer::Outcome::kEnd);
+}
+
+TEST(FramedIo, ZeroTailEndsTheFrameStream) {
+  // Reserved-but-unwritten space reads as zeros, which parses as the end
+  // of the frames ("implausible frame length 0"), never as data.
+  TempDir dir;
+  const std::string path = dir.path + "/frames.bin";
+  {
+    FramedFileWriter writer;
+    ASSERT_TRUE(writer.Open(path).ok());
+    ASSERT_TRUE(writer.Append(1, "alpha").ok());
+    ASSERT_TRUE(writer.Append(2, "beta").ok());
+    ASSERT_TRUE(writer.Close().ok());
+  }
+  ASSERT_NO_FATAL_FAILURE(ZeroPadTo(path, 4096));
+  FramedBuffer frames(ReadAll(path));
+  Frame frame;
+  ASSERT_EQ(frames.Next(&frame), FramedBuffer::Outcome::kFrame);
+  ASSERT_EQ(frames.Next(&frame), FramedBuffer::Outcome::kFrame);
+  EXPECT_EQ(frame.payload, "beta");
+  EXPECT_EQ(frames.Next(&frame), FramedBuffer::Outcome::kTorn);
+  EXPECT_EQ(frames.torn_detail(), "implausible frame length 0");
 }
 
 // --- Changelog payload codecs ---------------------------------------------
@@ -499,6 +566,92 @@ TEST(Changelog, HeadTruncatedBehindStartSeqFailsWithStopPosition) {
   EXPECT_EQ(records.size(), 2u);
 }
 
+TEST(Changelog, ZeroPaddedNewestSegmentEndsTheLogCleanly) {
+  TempDir dir;
+  durability::WalWriter wal;
+  ASSERT_TRUE(wal.Open(dir.path, 0).ok());
+  ASSERT_NO_FATAL_FAILURE(AppendEventRecords(&wal, 4, 100));
+  ASSERT_TRUE(wal.Close().ok());
+  ASSERT_NO_FATAL_FAILURE(
+      ZeroPadTo(dir.path + "/" + durability::SegmentFileName(0), 8192));
+
+  std::vector<durability::WalRecord> records;
+  ASSERT_TRUE(durability::ReadChangelog(dir.path, 0, &records).ok());
+  ASSERT_EQ(records.size(), 4u);
+  EXPECT_EQ(records.back().seq, 3u);
+}
+
+TEST(Changelog, ZeroPaddedOlderSegmentIsSkippedOnlyWhenCovered) {
+  // A killed run's newest segment keeps its zero tail; once Recover's
+  // snapshot covers it, the next segment demotes it to non-newest.
+  TempDir dir;
+  durability::WalWriter wal;
+  ASSERT_TRUE(wal.Open(dir.path, 0).ok());
+  ASSERT_NO_FATAL_FAILURE(AppendEventRecords(&wal, 3, 100));
+  ASSERT_TRUE(wal.Roll().ok());
+  ASSERT_NO_FATAL_FAILURE(AppendEventRecords(&wal, 2, 200));
+  ASSERT_TRUE(wal.Close().ok());
+  ASSERT_NO_FATAL_FAILURE(
+      ZeroPadTo(dir.path + "/" + durability::SegmentFileName(0), 4096));
+
+  // Covered by a snapshot at seq 3: skipped without reading.
+  std::vector<durability::WalRecord> records;
+  ASSERT_TRUE(durability::ReadChangelog(dir.path, 3, &records).ok());
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0].seq, 3u);
+
+  // Not covered: the zero tail in a non-newest segment is damage like
+  // any other, so the torn rule is not loosened.
+  Status status = durability::ReadChangelog(dir.path, 0, &records);
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("recovery stopped at segment 0, record 3"),
+            std::string::npos)
+      << status.ToString();
+}
+
+TEST(Changelog, ClosedSegmentBytesAreGolden) {
+  // The on-disk format is frozen: a closed segment holds exactly its
+  // frames, byte for byte what the write(2)-based writer produced for
+  // the same records.
+  static constexpr char kGoldenHex[] =
+      "2d00000004a71e680102000000030000"
+      "00000000000500000000000000010000"
+      "00000000000000000000803540000000"
+      "000000d0bf3a0000000643f88c020100"
+      "0000000000000700000073656e736f72"
+      "730300000053554d0100000076010100"
+      "00006b0100000014000000000000000a"
+      "0000000000000009000000ad1976eb03"
+      "0100000000000000";
+  TempDir dir;
+  durability::WalWriter wal;
+  ASSERT_TRUE(wal.Open(dir.path, 7).ok());
+  EventColumns columns;
+  columns.Append({.timestamp = 3, .key = 1, .value = 21.5});
+  columns.Append({.timestamp = 5, .key = 0, .value = -0.25});
+  ASSERT_TRUE(wal.Append(durability::kWalEvents,
+                         durability::EncodeEventsPayload(columns))
+                  .ok());
+  ASSERT_TRUE(wal.Append(durability::kWalAddQuery,
+                         durability::EncodeQueryPayload(
+                             1, MakeQuery("SUM", 20, 10)))
+                  .ok());
+  ASSERT_TRUE(wal.Append(durability::kWalRemoveQuery,
+                         durability::EncodeRemoveQueryPayload(1))
+                  .ok());
+  ASSERT_TRUE(wal.Close().ok());
+
+  const std::string bytes =
+      ReadAll(dir.path + "/" + durability::SegmentFileName(7));
+  std::string hex;
+  for (unsigned char c : bytes) {
+    static constexpr char kDigits[] = "0123456789abcdef";
+    hex += kDigits[c >> 4];
+    hex += kDigits[c & 15];
+  }
+  EXPECT_EQ(hex, kGoldenHex);
+}
+
 // --- Snapshot store --------------------------------------------------------
 
 durability::SnapshotContents MakeSnapshot(uint64_t covered_seq) {
@@ -544,6 +697,25 @@ TEST(SnapshotStore, WriteLoadRoundTrip) {
             MakeQuery("SUM", 60, 60).ToSql());
   EXPECT_TRUE(loaded->contents.has_checkpoint);
   EXPECT_EQ(loaded->contents.checkpoint, "FWCKPT 1 0\n");
+}
+
+TEST(SnapshotStore, PublishedFileIsExactlyItsFrames) {
+  TempDir dir;
+  durability::SnapshotContents contents = MakeSnapshot(9);
+  contents.checkpoint = std::string(10000, 'c');
+  ASSERT_TRUE(durability::WriteSnapshotFile(dir.path, contents).ok());
+
+  const std::string bytes =
+      ReadAll(dir.path + "/" + durability::SnapshotFileName(9));
+  FramedBuffer frames(bytes);
+  Frame frame;
+  size_t frame_bytes = 0;
+  while (frames.Next(&frame) == FramedBuffer::Outcome::kFrame) {
+    frame_bytes += 9 + frame.payload.size();
+  }
+  // meta, two queries, checkpoint, terminator — and no zero tail.
+  EXPECT_EQ(frames.frames_read(), 5u);
+  EXPECT_EQ(bytes.size(), frame_bytes);
 }
 
 TEST(SnapshotStore, EmptyDirFindsNothing) {
@@ -1062,7 +1234,9 @@ TEST(SessionDurability, ReplayRedeliversChurnEraResultsExactly) {
     for (size_t i = 150; i < events.size(); ++i) {
       ASSERT_TRUE(session.Push(events[i]).ok());
     }
-    if (finish) ASSERT_TRUE(session.Finish().ok());
+    if (finish) {
+      ASSERT_TRUE(session.Finish().ok());
+    }
   };
   {
     StreamSession session({.num_keys = 2});
@@ -1412,6 +1586,209 @@ TEST(SessionDurability, DurabilityFailureIsStickyFailStop) {
   EXPECT_FALSE(push.ok());
   Result<QueryId> added = session.AddQuery(MakeQuery("SUM", 40, 40));
   EXPECT_FALSE(added.ok());
+}
+
+// --- Real process death ----------------------------------------------------
+//
+// Every other "kill" in the suites is a destructor, which also runs the
+// writer's Close. These tests fork a child (gtest death tests) and end it
+// for real, so nothing the process still held in userspace survives.
+
+/// One delivered result as the doomed child persists it (raw bytes; the
+/// parent reads them back in the same binary).
+struct ResultRecord {
+  int32_t query = 0;
+  int32_t op = 0;
+  TimeT start = 0;
+  TimeT end = 0;
+  uint32_t key = 0;
+  uint32_t pad = 0;
+  double value = 0.0;
+};
+
+StreamSession::ResultCallback AppendTo(int fd, QueryId id) {
+  return [fd, id](const WindowResult& r) {
+    ResultRecord rec;
+    rec.query = static_cast<int32_t>(id);
+    rec.op = r.operator_id;
+    rec.start = r.start;
+    rec.end = r.end;
+    rec.key = r.key;
+    rec.value = r.value;
+    if (::write(fd, &rec, sizeof(rec)) != static_cast<ssize_t>(sizeof(rec))) {
+      std::abort();
+    }
+  };
+}
+
+void ExpectOk(const Status& status, const char* what) {
+  if (status.ok()) return;
+  std::fprintf(stderr, "%s: %s\n", what, status.ToString().c_str());
+  std::abort();  // Any signal but SIGKILL fails the death test.
+}
+
+/// The shared scenario: a 1-shard session over events[0, kill_at) with
+/// scalar Pushes, one PushColumns batch over [150, 200), and a second
+/// AddQuery at 200. `add` installs a query; ids are assigned 1, 2.
+template <typename AddFn>
+void DriveKillScenario(StreamSession& session, const std::vector<Event>& events,
+                       size_t kill_at, AddFn add) {
+  add(MakeQuery("SUM", 20, 10));
+  for (size_t i = 0; i < 150; ++i) ExpectOk(session.Push(events[i]), "Push");
+  ExpectOk(session.PushColumns(EventColumns::FromEvents(std::vector<Event>(
+               events.begin() + 150, events.begin() + 200))),
+           "PushColumns");
+  add(MakeQuery("SUM", 40, 20));
+  for (size_t i = 200; i < kill_at; ++i) {
+    ExpectOk(session.Push(events[i]), "Push");
+  }
+}
+
+[[noreturn]] void RunDurableSessionThenSigkill(const std::string& dir,
+                                               const std::string& results,
+                                               FsyncPolicy policy,
+                                               const std::vector<Event>& events,
+                                               size_t kill_at) {
+  const int fd = ::open(results.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (fd < 0) std::abort();
+  StreamSession::Options options;
+  options.num_keys = 4;
+  options.num_shards = 1;
+  options.durability.enabled = true;
+  options.durability.dir = dir;
+  options.durability.fsync_policy = policy;
+  options.durability.fsync_interval_events = 16;
+  options.durability.snapshot_interval_events = 100;
+  // Leaked on purpose: no destructor may run before the kill.
+  auto* session = new StreamSession(options);
+  QueryId next = 1;
+  DriveKillScenario(*session, events, kill_at, [&](const StreamQuery& q) {
+    ExpectOk(session->AddQuery(q, AppendTo(fd, next++)).status(),
+             "AddQuery");
+  });
+  std::raise(SIGKILL);
+  std::abort();
+}
+
+TEST(SessionDurabilityDeathTest, SigkillLosesNoAcknowledgedRecord) {
+  const std::vector<Event> events = GenerateSyntheticStream(400, 4, 1234);
+  const size_t kill_at = 263;
+
+  // The non-durable twin over the whole stream, same operations.
+  Recorded twin;
+  {
+    StreamSession session({.num_keys = 4});
+    QueryId next = 1;
+    DriveKillScenario(session, events, kill_at, [&](const StreamQuery& q) {
+      ExpectOk(session.AddQuery(q, Tagged(&twin, static_cast<int>(next++)))
+                   .status(),
+               "AddQuery");
+    });
+    for (size_t i = kill_at; i < events.size(); ++i) {
+      ASSERT_TRUE(session.Push(events[i]).ok());
+    }
+    ASSERT_TRUE(session.Finish().ok());
+  }
+
+  for (FsyncPolicy policy : {FsyncPolicy::kNone, FsyncPolicy::kInterval}) {
+    SCOPED_TRACE(static_cast<int>(policy));
+    TempDir dir;
+    TempDir out;
+    const std::string results = out.path + "/results.bin";
+    EXPECT_EXIT(
+        RunDurableSessionThenSigkill(dir.path, results, policy, events,
+                                     kill_at),
+        ::testing::KilledBySignal(SIGKILL), "");
+
+    // The kill left the newest segment untrimmed: its reserved zero
+    // tail ends the frames.
+    const std::string newest = TheFile(
+        dir.path, [](std::string_view name, uint64_t* seq) {
+          return durability::ParseSegmentFileName(name, seq);
+        });
+    ASSERT_FALSE(newest.empty());
+    const std::string segment = ReadAll(dir.path + "/" + newest);
+    EXPECT_EQ(segment.size() % static_cast<size_t>(::sysconf(_SC_PAGESIZE)),
+              0u);
+    FramedBuffer frames(segment);
+    Frame frame;
+    while (frames.Next(&frame) == FramedBuffer::Outcome::kFrame) {
+    }
+    EXPECT_EQ(frames.torn_detail(), "implausible frame length 0");
+
+    // What the child delivered before it died, then recovery's replay
+    // and the resumed stream, must add up to the twin bitwise.
+    Recorded subject;
+    const std::string delivered = ReadAll(results);
+    ASSERT_EQ(delivered.size() % sizeof(ResultRecord), 0u);
+    for (size_t at = 0; at < delivered.size(); at += sizeof(ResultRecord)) {
+      ResultRecord rec;
+      std::memcpy(&rec, delivered.data() + at, sizeof(rec));
+      subject.results.emplace(
+          std::make_tuple(rec.query, rec.op, rec.start, rec.end, rec.key),
+          rec.value);
+    }
+    StreamSession::Options options;
+    options.num_keys = 4;
+    Result<StreamSession::RecoveryInfo> recovered = StreamSession::Recover(
+        dir.path, options, [&subject](QueryId id, const StreamQuery&) {
+          return Tagged(&subject, static_cast<int>(id));
+        });
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    EXPECT_EQ(recovered->durable_events, kill_at);
+    EXPECT_EQ(recovered->recovered_queries, 2u);
+    StreamSession& session = *recovered->session;
+    for (size_t i = kill_at; i < events.size(); ++i) {
+      ASSERT_TRUE(session.Push(events[i]).ok());
+    }
+    ASSERT_TRUE(session.Finish().ok());
+    EXPECT_EQ(subject.results, twin.results);
+    EXPECT_GT(subject.redelivered, 0);
+  }
+}
+
+[[noreturn]] void PushPastTheFileSizeLimit(const std::string& dir) {
+  // Past RLIMIT_FSIZE the kernel refuses to grow the file (EFBIG) instead
+  // of delivering SIGXFSZ. A store into unreserved mapped space would
+  // raise SIGBUS instead, failing the exit-code expectation.
+  std::signal(SIGXFSZ, SIG_IGN);
+  const rlimit limit = {64 << 10, 64 << 10};
+  if (::setrlimit(RLIMIT_FSIZE, &limit) != 0) std::_Exit(2);
+  StreamSession::Options options;
+  options.num_keys = 2;
+  options.durability.enabled = true;
+  options.durability.dir = dir;
+  options.durability.fsync_policy = FsyncPolicy::kNone;
+  options.durability.snapshot_interval_events = 0;
+  StreamSession session(options);
+  ExpectOk(session.AddQuery(MakeQuery("SUM", 20, 20)).status(), "AddQuery");
+  Status failed;
+  TimeT t = 0;
+  for (; t < 100000 && failed.ok(); ++t) {
+    failed = session.Push({.timestamp = t, .key = 0, .value = 1});
+  }
+  auto mentions = [](const Status& status, const char* text) {
+    return status.message().find(text) != std::string::npos;
+  };
+  if (failed.ok() || !mentions(failed, "ingest stopped at event 0") ||
+      !mentions(failed, "fallocate")) {
+    std::fprintf(stderr, "first failure: %s\n", failed.ToString().c_str());
+    std::_Exit(3);
+  }
+  // Latched: the next Push (room or not) and churn refuse the same way.
+  const Status again = session.Push({.timestamp = t, .key = 1, .value = 1});
+  if (again.ok() || !mentions(again, "fallocate")) std::_Exit(4);
+  if (session.AddQuery(MakeQuery("SUM", 40, 40)).ok()) std::_Exit(5);
+  if (session.Stats().wal_bytes > static_cast<uint64_t>(64 << 10)) {
+    std::_Exit(6);
+  }
+  std::_Exit(0);
+}
+
+TEST(SessionDurabilityDeathTest, OutOfSpaceFailsAsStatusNotSignal) {
+  TempDir dir;
+  EXPECT_EXIT(PushPastTheFileSizeLimit(dir.path),
+              ::testing::ExitedWithCode(0), "");
 }
 
 }  // namespace
