@@ -1,5 +1,7 @@
 #include "exec/operator.h"
 
+#include <bit>
+
 #include "common/logging.h"
 #include "common/math_util.h"
 
@@ -27,19 +29,25 @@ void WindowAggregateOperator::AddChild(WindowAggregateOperator* child) {
   children_.push_back(child);
 }
 
-std::vector<AggState> WindowAggregateOperator::TakeStateBuffer() {
-  if (state_pool_.empty()) {
-    return std::vector<AggState>(config_.num_keys, AggState{});
+WindowAggregateOperator::Instance WindowAggregateOperator::TakeInstance(
+    int64_t m) {
+  Instance instance;
+  if (instance_pool_.empty()) {
+    instance.states.assign(config_.num_keys, AggState{});
+    instance.touched.assign((config_.num_keys + 63) / 64, 0);
+  } else {
+    instance = std::move(instance_pool_.back());
+    instance_pool_.pop_back();
   }
-  std::vector<AggState> buffer = std::move(state_pool_.back());
-  state_pool_.pop_back();
-  return buffer;
+  instance.m = m;
+  return instance;
 }
 
 void WindowAggregateOperator::OnEvent(const Event& event) {
   PrepareRun(event.timestamp);
   FW_CHECK_LT(event.key, config_.num_keys);
   for (Instance& instance : open_) {
+    Touch(&instance, event.key);
     accumulate_(&instance.states[event.key], event.value);
     ++accumulate_ops_;
   }
@@ -78,6 +86,7 @@ void WindowAggregateOperator::AccumulateRun(const uint32_t* keys,
   if (count == 1) {
     FW_CHECK_LT(keys[0], config_.num_keys);
     for (Instance& instance : open_) {
+      Touch(&instance, keys[0]);
       accumulate_(&instance.states[keys[0]], values[0]);
     }
     accumulate_ops_ += open_.size();
@@ -118,6 +127,7 @@ void WindowAggregateOperator::AccumulateRun(const uint32_t* keys,
     const double* segment = grouped;
     for (const uint32_t key : run_keys_) {
       const size_t len = group_counts_[key];
+      Touch(&instance, key);
       AggState* state = &instance.states[key];
       if (accumulate_batch_ != nullptr) {
         accumulate_batch_(state, segment, len);
@@ -154,6 +164,7 @@ void WindowAggregateOperator::OnSubAgg(const SubAggRecord& record) {
   if (record.state.n == 0) return;
   FW_CHECK_LT(record.key, config_.num_keys);
   for (Instance& instance : open_) {
+    Touch(&instance, record.key);
     merge_(&instance.states[record.key], record.state);
     ++accumulate_ops_;
   }
@@ -165,7 +176,7 @@ void WindowAggregateOperator::Reset() {
   open_.clear();
   next_m_ = 0;
   next_open_start_ = 0;
-  state_pool_.clear();
+  instance_pool_.clear();
   accumulate_ops_ = 0;
   closed_instances_ = 0;
   finalized_results_ = 0;
@@ -231,6 +242,12 @@ Status WindowAggregateOperator::Restore(const OperatorCheckpoint& checkpoint) {
     Instance instance;
     instance.m = inst.m;
     instance.states = inst.states;
+    instance.touched.assign((config_.num_keys + 63) / 64, 0);
+    for (uint32_t key = 0; key < config_.num_keys; ++key) {
+      if (instance.states[key].n != 0) {
+        instance.touched[key >> 6] |= uint64_t{1} << (key & 63);
+      }
+    }
     open_.push_back(std::move(instance));
   }
   return Status::OK();
@@ -260,10 +277,7 @@ void WindowAggregateOperator::OpenThrough(TimeT start_limit,
   }
   while (next_open_start_ <= start_limit) {
     if (next_open_start_ + r >= end_floor) {
-      Instance instance;
-      instance.m = next_m_;
-      instance.states = TakeStateBuffer();
-      open_.push_back(std::move(instance));
+      open_.push_back(TakeInstance(next_m_));
     }
     // Instances with end < end_floor are skipped: the input is ordered, so
     // nothing can arrive for them anymore.
@@ -276,20 +290,29 @@ void WindowAggregateOperator::EmitInstance(Instance* instance) {
   ++closed_instances_;
   const TimeT start = InstanceStart(instance->m);
   const TimeT end = InstanceEnd(instance->m);
-  for (uint32_t key = 0; key < config_.num_keys; ++key) {
-    AggState& state = instance->states[key];
-    if (state.n == 0) continue;
-    if (config_.exposed) {
-      ++finalized_results_;
-      sink_->OnResult(WindowResult{config_.operator_id, start, end, key,
-                                   finalize_(state)});
+  // Visit the touched keys in ascending order (see the class comment).
+  for (size_t word = 0; word < instance->touched.size(); ++word) {
+    uint64_t bits = instance->touched[word];
+    instance->touched[word] = 0;
+    while (bits != 0) {
+      const uint32_t key =
+          static_cast<uint32_t>(word * 64) + std::countr_zero(bits);
+      bits &= bits - 1;
+      AggState& state = instance->states[key];
+      // A merge need not advance n, so a touched state can still be empty.
+      if (state.n == 0) continue;
+      if (config_.exposed) {
+        ++finalized_results_;
+        sink_->OnResult(WindowResult{config_.operator_id, start, end, key,
+                                     finalize_(state)});
+      }
+      for (WindowAggregateOperator* child : children_) {
+        child->OnSubAgg(SubAggRecord{start, end, key, state});
+      }
+      state.Clear();  // Zero for reuse (keeps any sketch allocation).
     }
-    for (WindowAggregateOperator* child : children_) {
-      child->OnSubAgg(SubAggRecord{start, end, key, state});
-    }
-    state.Clear();  // Zero for reuse (keeps any sketch allocation).
   }
-  state_pool_.push_back(std::move(instance->states));
+  instance_pool_.push_back(std::move(*instance));
 }
 
 HolisticWindowOperator::HolisticWindowOperator(const Config& config,

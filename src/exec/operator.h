@@ -31,6 +31,16 @@ namespace fw {
 /// On close, each non-empty per-key state is finalized to the sink (when
 /// exposed) and forwarded as a SubAggRecord to every child operator.
 ///
+/// Closing an instance costs what its live keys cost, not what num_keys
+/// costs: each instance carries a touched-key bitmap (one bit per key),
+/// and a fold sets a key's bit when it finds the key's state still empty
+/// — a test made before the fold, so the dense fold path pays one
+/// predictable branch and no extra read-modify-write per event. Emission
+/// walks the set bits in ascending order with count-trailing-zeros and
+/// clears them, so results stay key-ascending and bitwise identical to a
+/// dense scan. Restore rebuilds the bitmap from the non-empty states, and
+/// pooled instance buffers recycle it (all clear) with their states.
+///
 /// The operator counts one "accumulate op" per (item × instance) fold —
 /// exactly the unit of the paper's cost model — which the harness uses for
 /// the Figure 19 cost-model validation.
@@ -137,7 +147,19 @@ class WindowAggregateOperator {
     int64_t m = 0;
     /// Per-key partial aggregates; state.n == 0 marks "no data".
     std::vector<AggState> states;
+    /// Touched-key bitmap: bit k of word k / 64 is set once key k's state
+    /// turns non-empty (a superset of the non-empty states; all clear
+    /// after emission).
+    std::vector<uint64_t> touched;
   };
+
+  /// Marks `key` touched in `instance` if its state is still empty; call
+  /// before folding into that state.
+  static void Touch(Instance* instance, uint32_t key) {
+    if (instance->states[key].n == 0) {
+      instance->touched[key >> 6] |= uint64_t{1} << (key & 63);
+    }
+  }
 
   TimeT InstanceStart(int64_t m) const { return m * config_.window.slide(); }
   TimeT InstanceEnd(int64_t m) const {
@@ -156,8 +178,9 @@ class WindowAggregateOperator {
 
   void EmitInstance(Instance* instance);
 
-  /// Takes a zeroed per-key state buffer from the pool (or allocates one).
-  std::vector<AggState> TakeStateBuffer();
+  /// Takes instance `m` with zeroed per-key states and a clear bitmap from
+  /// the pool (or allocates one).
+  Instance TakeInstance(int64_t m);
 
   Config config_;
   ResultSink* sink_;
@@ -175,7 +198,7 @@ class WindowAggregateOperator {
   std::deque<Instance> open_;  // Ordered by m (and thus by end).
   int64_t next_m_ = 0;         // Next instance number not yet opened.
   TimeT next_open_start_ = 0;  // == next_m_ * slide.
-  std::vector<std::vector<AggState>> state_pool_;  // Recycled buffers.
+  std::vector<Instance> instance_pool_;  // Recycled instance buffers.
   /// AccumulateRun scratch (counting-sort grouping). group_counts_ and
   /// group_cursors_ are key-indexed and kept zeroed between runs via
   /// run_keys_, the touched-key list, so a run costs O(count + touched)

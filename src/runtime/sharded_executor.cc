@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <thread>
-#include <tuple>
 #include <utility>
 
 #include "common/logging.h"
@@ -60,7 +59,8 @@ struct ShardedExecutor::Shard {
   /// executor's handoff_hist_).
   telemetry::Histogram* const handoff_hist;
 
-  BufferSink buffer FW_GUARDED_BY(worker_role);
+  /// Results with their run boundaries, recorded as the worker emits.
+  RunBuffer buffer FW_GUARDED_BY(worker_role);
   std::unique_ptr<PlanExecutor> executor FW_GUARDED_BY(worker_role);
   SpscQueue<EventBatch> queue;
   /// Producer-side partial batch (columnar), session thread only.
@@ -334,22 +334,16 @@ void ShardedExecutor::Quiesce() {
 }
 
 void ShardedExecutor::DeliverBuffered() {
-  std::vector<WindowResult> merged;
+  std::vector<RunBuffer*> buffers;
+  buffers.reserve(shards_.size());
   for (auto& shard : shards_) {
     // Callers quiesced (or joined) this shard's worker first: the
     // consumed/enqueued acquire-release pair published the buffer and the
     // worker is parked on an empty ring, so the session thread owns it.
     shard->worker_role.AssertHeld();
-    std::vector<WindowResult>& buffered = shard->buffer.results();
-    merged.insert(merged.end(), buffered.begin(), buffered.end());
-    buffered.clear();
+    buffers.push_back(&shard->buffer);
   }
-  std::sort(merged.begin(), merged.end(),
-            [](const WindowResult& a, const WindowResult& b) {
-              return std::tie(a.end, a.start, a.operator_id, a.key) <
-                     std::tie(b.end, b.start, b.operator_id, b.key);
-            });
-  for (const WindowResult& result : merged) sink_->OnResult(result);
+  merger_.DeliverAndClear(buffers, sink_);
 }
 
 void ShardedExecutor::Drain() {
@@ -652,7 +646,7 @@ void ShardedExecutor::Reset() {
   for (auto& shard : shards_) {
     shard->worker_role.AssertHeld();  // Quiesced (see above).
     shard->executor->Reset();
-    shard->buffer.results().clear();
+    shard->buffer.Clear();
   }
   events_since_drain_ = 0;
 }

@@ -15,6 +15,7 @@
 #include "exec/reorderer.h"
 #include "exec/sink.h"
 #include "plan/plan.h"
+#include "runtime/run_merge.h"
 #include "telemetry/metrics.h"
 
 namespace fw {
@@ -44,7 +45,9 @@ class EventConsumer;  // exec/reorder.h; side output for late events.
 ///    handoffs between them are asserted where the happens-before edge is
 ///    established.
 ///  * The caller's sink is only ever invoked on the session thread, from
-///    inside Push/Drain/Finish/Checkpoint — never concurrently. Plain
+///    inside Push/Drain/Finish/Checkpoint — never concurrently, and it
+///    must not call back into the executor: a drain reads results in
+///    place from the shard buffers while it delivers them. Plain
 ///    sinks (CollectingSink, RoutingSink) are safe here; see exec/sink.h
 ///    for which sinks tolerate being wired *directly* into per-shard
 ///    executors instead.
@@ -279,22 +282,6 @@ class ShardedExecutor {
   double RingOccupancy() const;
 
  private:
-  /// Shard-local result buffer; written only by the shard's worker while a
-  /// batch is in flight, read by the session thread only after a quiesce.
-  /// The guard lives on the owning member (Shard::buffer is
-  /// FW_GUARDED_BY(worker_role)) rather than in here, because the
-  /// capability is per shard, not per sink.
-  class BufferSink : public ResultSink {
-   public:
-    void OnResult(const WindowResult& result) override {
-      results_.push_back(result);
-    }
-    std::vector<WindowResult>& results() { return results_; }
-
-   private:
-    std::vector<WindowResult> results_;
-  };
-
   struct Shard;
 
   /// Builds the execution topology (inline executor or worker shards,
@@ -327,7 +314,9 @@ class ShardedExecutor {
   /// Flushes all pending batches and waits until every worker has consumed
   /// its queue. Afterwards the session thread may read shard state.
   void Quiesce() FW_REQUIRES(session_role_);
-  /// Merges and sorts all buffered results into the sink.
+  /// Delivers every shard's buffered results to the sink in (end, start,
+  /// operator, key) order by merging their runs (runtime/run_merge.h).
+  /// Requires quiesced (or joined) workers.
   void DeliverBuffered() FW_REQUIRES(session_role_);
   void StopWorkers() FW_REQUIRES(session_role_);
 
@@ -359,6 +348,8 @@ class ShardedExecutor {
   /// PushColumns scratch: the batch's per-event shard assignment, computed
   /// in one pass over the key column (grown once, reused per batch).
   std::vector<uint32_t> shard_ids_ FW_GUARDED_BY(session_role_);
+  /// The drain's merge stage (keeps its run-descriptor scratch).
+  RunMerger merger_ FW_GUARDED_BY(session_role_);
 
   /// Per-shard delivered-event counts for the current topology (session
   /// thread only; sized num_shards()).

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <map>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 
@@ -212,6 +215,125 @@ TEST(WindowOperator, ResetClearsState) {
   // Two runs but only the second produced output (reset dropped run 1).
   ASSERT_EQ(sink.results().size(), 1u);
   EXPECT_DOUBLE_EQ(sink.results()[0].value, 45.0);
+}
+
+// --- Touched-key emission ------------------------------------------------
+
+bool SameResults(const std::vector<WindowResult>& a,
+                 const std::vector<WindowResult>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].operator_id != b[i].operator_id || a[i].start != b[i].start ||
+        a[i].end != b[i].end || a[i].key != b[i].key ||
+        std::bit_cast<uint64_t>(a[i].value) !=
+            std::bit_cast<uint64_t>(b[i].value)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(TouchedKeys, CheckpointRestoreFlushEmitsLikeUninterrupted) {
+  // Mid-instance snapshot of a hopping window over a sparse key space:
+  // the restored operator rebuilds its touched bitmaps from the states
+  // and must emit exactly what the uninterrupted one does, in order.
+  constexpr uint32_t kKeys = 300;
+  Rng rng(31);
+  std::vector<Event> events;
+  for (TimeT t = 0; t < 400; ++t) {
+    events.push_back(Event{t, static_cast<uint32_t>(rng.Uniform(0, 40)) * 7,
+                           rng.UniformReal(-50, 50)});
+  }
+  const size_t cut = 237;  // Inside several open instances.
+  for (const char* agg : {"SUM", "P99"}) {
+    const auto config =
+        MakeConfig(Window(50, 20), Agg(agg), 0, true, kKeys);
+    CollectingSink whole_sink;
+    WindowAggregateOperator whole(config, &whole_sink);
+    for (const Event& e : events) whole.OnEvent(e);
+    whole.Flush();
+
+    CollectingSink first_sink;
+    WindowAggregateOperator first(config, &first_sink);
+    for (size_t i = 0; i < cut; ++i) first.OnEvent(events[i]);
+    const OperatorCheckpoint checkpoint = first.Checkpoint();
+    ASSERT_FALSE(checkpoint.open_instances.empty());
+    CollectingSink resumed_sink;
+    WindowAggregateOperator resumed(config, &resumed_sink);
+    ASSERT_TRUE(resumed.Restore(checkpoint).ok());
+    for (size_t i = cut; i < events.size(); ++i) resumed.OnEvent(events[i]);
+    resumed.Flush();
+
+    std::vector<WindowResult> combined = first_sink.results();
+    combined.insert(combined.end(), resumed_sink.results().begin(),
+                    resumed_sink.results().end());
+    EXPECT_TRUE(SameResults(combined, whole_sink.results())) << agg;
+    // Restored instances that get no further input still emit.
+    CollectingSink flushed_sink;
+    WindowAggregateOperator flushed(config, &flushed_sink);
+    ASSERT_TRUE(flushed.Restore(checkpoint).ok());
+    flushed.Flush();
+    EXPECT_GT(flushed_sink.results().size(), 0u) << agg;
+  }
+}
+
+TEST(TouchedKeys, KeyTouchedOnlyByMergeIsEmitted) {
+  CollectingSink sink;
+  WindowAggregateOperator op(
+      MakeConfig(Window::Tumbling(20), Agg("SUM"), 3, true, 256), &sink);
+  AggState state;
+  Agg("SUM")->accumulate(&state, 2.5);
+  Agg("SUM")->accumulate(&state, 4.0);
+  op.OnSubAgg(SubAggRecord{0, 10, 200, state});
+  op.OnSubAgg(SubAggRecord{10, 20, 77, state});
+  op.Flush();
+  ASSERT_EQ(sink.results().size(), 2u);
+  EXPECT_EQ(sink.results()[0].key, 77u);  // Key-ascending emission.
+  EXPECT_EQ(sink.results()[1].key, 200u);
+  EXPECT_DOUBLE_EQ(sink.results()[1].value, 6.5);
+  EXPECT_EQ(op.finalized_results(), 2u);
+}
+
+TEST(TouchedKeys, RecycledSketchBufferEmitsOnlyThisInstancesKeys) {
+  // P99 keeps sketch allocations in pooled buffers; an instance reusing
+  // the buffer of one that touched keys {1, 9, 60, 130} must emit only
+  // the key it touched itself.
+  CollectingSink sink;
+  WindowAggregateOperator op(
+      MakeConfig(Window::Tumbling(10), Agg("P99"), 0, true, 200), &sink);
+  for (uint32_t key : {130u, 9u, 60u, 1u}) {
+    op.OnEvent(Event{3, key, static_cast<double>(key)});
+  }
+  op.OnEvent(Event{12, 64, 5.0});  // [10, 20) reuses [0, 10)'s buffer.
+  op.OnEvent(Event{25, 9, 7.0});   // [20, 30) reuses it again.
+  op.Flush();
+  std::vector<std::pair<TimeT, uint32_t>> emitted;
+  for (const WindowResult& r : sink.results()) {
+    emitted.emplace_back(r.start, r.key);
+  }
+  EXPECT_EQ(emitted, (std::vector<std::pair<TimeT, uint32_t>>{
+                         {0, 1}, {0, 9}, {0, 60}, {0, 130}, {10, 64},
+                         {20, 9}}));
+}
+
+TEST(TouchedKeys, EmissionVisitsOnlyTouchedStates) {
+  // 4,096 keys, 3 touched: one closed instance, exactly 3 finalized
+  // states, in ascending key order across bitmap words.
+  CollectingSink sink;
+  WindowAggregateOperator op(
+      MakeConfig(Window::Tumbling(100), Agg("MIN"), 0, true, 4096), &sink);
+  op.OnEvent(Event{1, 4095, 1.0});
+  op.OnEvent(Event{2, 63, 2.0});
+  op.OnEvent(Event{3, 64, 3.0});
+  op.OnEvent(Event{4, 4095, -1.0});
+  op.Flush();
+  EXPECT_EQ(op.closed_instances(), 1u);
+  EXPECT_EQ(op.finalized_results(), 3u);
+  ASSERT_EQ(sink.results().size(), 3u);
+  EXPECT_EQ(sink.results()[0].key, 63u);
+  EXPECT_EQ(sink.results()[1].key, 64u);
+  EXPECT_EQ(sink.results()[2].key, 4095u);
+  EXPECT_DOUBLE_EQ(sink.results()[2].value, -1.0);
 }
 
 TEST(WindowOperatorDeathTest, ConfigValidation) {

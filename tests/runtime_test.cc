@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <set>
@@ -9,11 +11,13 @@
 #include <tuple>
 #include <vector>
 
+#include "common/rng.h"
 #include "exec/engine.h"
 #include "exec/reorder.h"
 #include "multi/multi_query.h"
 #include "runtime/partition.h"
 #include "exec/reorderer.h"
+#include "runtime/run_merge.h"
 #include "runtime/shard_checkpoint.h"
 #include "runtime/spsc_queue.h"
 #include "session/session.h"
@@ -411,6 +415,17 @@ QueryPlan SharedTestPlan() {
   return shared->plan;
 }
 
+bool ResultBefore(const WindowResult& a, const WindowResult& b) {
+  return std::tie(a.end, a.start, a.operator_id, a.key) <
+         std::tie(b.end, b.start, b.operator_id, b.key);
+}
+
+bool SameResult(const WindowResult& a, const WindowResult& b) {
+  return a.operator_id == b.operator_id && a.start == b.start &&
+         a.end == b.end && a.key == b.key &&
+         std::bit_cast<uint64_t>(a.value) == std::bit_cast<uint64_t>(b.value);
+}
+
 TEST(ShardedExecutor, MatchesSingleThreadedExecutorExactly) {
   constexpr uint32_t kKeys = 16;
   std::vector<Event> events = GenerateSyntheticStream(20000, kKeys, 21);
@@ -434,6 +449,102 @@ TEST(ShardedExecutor, MatchesSingleThreadedExecutorExactly) {
     EXPECT_EQ(sink.ToMap(), reference.ToMap()) << shards << " shards";
     EXPECT_EQ(executor.TotalAccumulateOps(), reference_ops);
   }
+}
+
+TEST(ShardedExecutor, MatchesInlineAtSparseFleetShape) {
+  // The serving benchmark's sharded shape: 4,096 keys over windows far
+  // shorter than the key cycle (each instance sees a few hundred keys),
+  // bounded disorder under max_delay 256, columnar batches of 512, and a
+  // Checkpoint plus a Resize(2 -> 4) mid-stream. Output must be bitwise
+  // the inline run's.
+  constexpr uint32_t kKeys = 4096;
+  constexpr TimeT kMaxDelay = 256;
+  std::vector<Event> sorted = GenerateSyntheticStream(40000, kKeys, 25);
+  std::vector<EventColumns> batches = SplitIntoColumns(
+      ApplyBoundedDisorder(sorted, static_cast<size_t>(kMaxDelay), 9), 512);
+  StreamQuery q1;
+  q1.source = "s";
+  q1.agg = Agg("MAX");
+  q1.per_key = true;
+  q1.key_column = "k";
+  ASSERT_TRUE(q1.windows.Add(Window::Tumbling(200)).ok());
+  ASSERT_TRUE(q1.windows.Add(Window(1200, 400)).ok());
+  StreamQuery q2 = q1;
+  q2.windows = WindowSet();
+  ASSERT_TRUE(q2.windows.Add(Window::Tumbling(300)).ok());
+  ASSERT_TRUE(q2.windows.Add(Window::Tumbling(600)).ok());
+  Result<MultiQueryOptimizer::SharedPlan> shared =
+      MultiQueryOptimizer::Optimize({q1, q2});
+  ASSERT_TRUE(shared.ok()) << shared.status().ToString();
+  const QueryPlan& plan = shared->plan;
+
+  ShardedExecutor::Options options;
+  options.num_keys = kKeys;
+  options.max_delay = kMaxDelay;
+  options.batch_size = 512;
+  options.drain_interval = 8192;  // Several drains before and after.
+
+  options.num_shards = 1;
+  CollectingSink inline_sink;
+  ShardedExecutor inline_run(plan, options, &inline_sink);
+  for (const EventColumns& batch : batches) inline_run.PushColumns(batch);
+  inline_run.Finish();
+
+  const size_t checkpoint_at = batches.size() / 3;
+  const size_t resize_at = batches.size() / 2;
+  options.num_shards = 2;
+  CollectingSink sharded_sink;
+  ShardedExecutor sharded(plan, options, &sharded_sink);
+  Result<ExecutorCheckpoint> checkpoint = Status::Internal("not taken");
+  size_t delivered_at_checkpoint = 0;
+  for (size_t b = 0; b < batches.size(); ++b) {
+    if (b == checkpoint_at) {
+      checkpoint = sharded.Checkpoint();
+      ASSERT_TRUE(checkpoint.ok()) << checkpoint.status().ToString();
+      delivered_at_checkpoint = sharded_sink.results().size();
+    }
+    if (b == resize_at) {
+      ASSERT_TRUE(sharded.Resize(4).ok());
+      ASSERT_EQ(sharded.num_shards(), 4u);
+    }
+    sharded.PushColumns(batches[b]);
+  }
+  sharded.Finish();
+  EXPECT_EQ(sharded.late_events(), 0u);
+
+  auto sorted_results = [](std::vector<WindowResult> results) {
+    std::sort(results.begin(), results.end(), ResultBefore);
+    return results;
+  };
+  const std::vector<WindowResult> expected =
+      sorted_results(inline_sink.results());
+  ASSERT_GT(expected.size(), 0u);
+  auto expect_bitwise = [&](const std::vector<WindowResult>& actual,
+                            const char* run) {
+    ASSERT_EQ(actual.size(), expected.size()) << run;
+    for (size_t i = 0; i < expected.size(); ++i) {
+      ASSERT_TRUE(SameResult(actual[i], expected[i]))
+          << run << ", position " << i;
+    }
+  };
+  expect_bitwise(sorted_results(sharded_sink.results()), "sharded");
+
+  // The mid-stream checkpoint resumes exactly too: what was delivered
+  // before it plus a restored inline continuation is the same output.
+  options.num_shards = 1;
+  CollectingSink resumed_sink;
+  ShardedExecutor resumed(plan, options, &resumed_sink);
+  ASSERT_TRUE(resumed.Restore(*checkpoint).ok());
+  for (size_t b = checkpoint_at; b < batches.size(); ++b) {
+    resumed.PushColumns(batches[b]);
+  }
+  resumed.Finish();
+  std::vector<WindowResult> combined(
+      sharded_sink.results().begin(),
+      sharded_sink.results().begin() + delivered_at_checkpoint);
+  combined.insert(combined.end(), resumed_sink.results().begin(),
+                  resumed_sink.results().end());
+  expect_bitwise(sorted_results(combined), "restored");
 }
 
 TEST(ShardedExecutor, MergeOrderIsDeterministicAndSortedPerDrain) {
@@ -464,13 +575,15 @@ TEST(ShardedExecutor, MergeOrderIsDeterministicAndSortedPerDrain) {
                        second[i].operator_id, second[i].key));
     EXPECT_EQ(first[i].value, second[i].value);
   }
-  // Single drain point here (Finish), so the whole delivery is sorted by
-  // the merge order.
-  for (size_t i = 1; i < first.size(); ++i) {
-    EXPECT_LE(std::tie(first[i - 1].end, first[i - 1].start,
-                       first[i - 1].operator_id, first[i - 1].key),
-              std::tie(first[i].end, first[i].start, first[i].operator_id,
-                       first[i].key));
+  // Single drain point here (Finish), so the whole delivery is the
+  // single-threaded result list sorted by the merge order, bitwise.
+  CollectingSink reference;
+  ExecutePlan(plan, events, kKeys, &reference, nullptr, nullptr);
+  std::vector<WindowResult> expected = reference.results();
+  std::sort(expected.begin(), expected.end(), ResultBefore);
+  ASSERT_EQ(first.size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_TRUE(SameResult(first[i], expected[i])) << "position " << i;
   }
 }
 
@@ -511,6 +624,165 @@ TEST(ShardedExecutor, CheckpointRestoresAcrossShardCounts) {
       combined[key] = value;
     }
     EXPECT_EQ(combined, reference.ToMap()) << shards << " shards";
+  }
+}
+
+// --- Drain order: the run merge against a sort ---------------------------
+
+WindowResult MakeResult(TimeT end, TimeT start, int op, uint32_t key) {
+  // The value encodes the result's identity, so a swapped or duplicated
+  // delivery shows up even where the ordering tuple ties.
+  return WindowResult{op, start, end, key,
+                      static_cast<double>(end) * 1e6 + op * 1e4 + key};
+}
+
+// Feeds each shard's results, in emission order, into its own RunBuffer,
+// drains them through one RunMerger, and checks the delivered sequence
+// against a sort of the concatenation (stable, which pins full-tuple
+// ties to buffer-then-position order, the merger's documented tie rule).
+void ExpectMergeEqualsSort(
+    const std::vector<std::vector<WindowResult>>& shards,
+    RunMerger* merger) {
+  std::vector<RunBuffer> buffers(shards.size());
+  std::vector<RunBuffer*> pointers;
+  std::vector<WindowResult> reference;
+  for (size_t i = 0; i < shards.size(); ++i) {
+    for (const WindowResult& r : shards[i]) buffers[i].OnResult(r);
+    pointers.push_back(&buffers[i]);
+    reference.insert(reference.end(), shards[i].begin(), shards[i].end());
+  }
+  std::stable_sort(reference.begin(), reference.end(), ResultBefore);
+
+  CollectingSink sink;
+  merger->DeliverAndClear(pointers, &sink);
+  ASSERT_EQ(sink.results().size(), reference.size());
+  for (size_t i = 0; i < reference.size(); ++i) {
+    EXPECT_TRUE(SameResult(sink.results()[i], reference[i]))
+        << "position " << i << ": key " << sink.results()[i].key
+        << " end " << sink.results()[i].end << ", expected key "
+        << reference[i].key << " end " << reference[i].end;
+  }
+  for (const RunBuffer& buffer : buffers) {
+    EXPECT_TRUE(buffer.results().empty());
+    EXPECT_TRUE(buffer.run_starts().empty());
+  }
+}
+
+TEST(RunMerge, RunsSplitOnInstanceChangeAndNonIncreasingKey) {
+  RunBuffer buffer;
+  for (uint32_t key : {1u, 3u, 7u}) {
+    buffer.OnResult(MakeResult(20, 0, 0, key));
+  }
+  buffer.OnResult(MakeResult(20, 0, 0, 2));   // Descends: a new run.
+  buffer.OnResult(MakeResult(20, 0, 0, 5));
+  buffer.OnResult(MakeResult(20, 0, 1, 6));   // Operator changes.
+  buffer.OnResult(MakeResult(40, 20, 1, 6));  // Instance changes, same key.
+  buffer.OnResult(MakeResult(40, 20, 1, 6));  // Repeated key: a new run.
+  EXPECT_EQ(buffer.run_starts(), (std::vector<size_t>{0, 3, 5, 6, 7}));
+  buffer.Clear();
+  EXPECT_TRUE(buffer.results().empty());
+  EXPECT_TRUE(buffer.run_starts().empty());
+}
+
+TEST(RunMerge, InterleavedKeysAcrossTwoAndFourShards) {
+  RunMerger merger;
+  for (uint32_t shards : {2u, 4u}) {
+    // Three instances of two operators; each shard owns keys k with
+    // k % shards == shard and emits every instance key-ascending, so
+    // same-instance runs interleave key by key across shards.
+    std::vector<std::vector<WindowResult>> buffers(shards);
+    for (TimeT end : {20, 40, 60}) {
+      for (int op : {0, 1}) {
+        for (uint32_t key = 0; key < 64; ++key) {
+          if (key % 5 == 3) continue;  // Gaps: keys without data.
+          buffers[key % shards].push_back(
+              MakeResult(end, end - 20, op, key));
+        }
+      }
+    }
+    ExpectMergeEqualsSort(buffers, &merger);
+  }
+}
+
+TEST(RunMerge, DescendingKeysMidEmissionSplitTheRun) {
+  RunMerger merger;
+  // Shard 0's emission of one instance descends after key 9; the buffer
+  // must split it, or the merge would deliver 2 and 4 after 9.
+  std::vector<std::vector<WindowResult>> buffers(2);
+  for (uint32_t key : {1u, 5u, 9u, 2u, 4u, 12u}) {
+    buffers[0].push_back(MakeResult(30, 10, 2, key));
+  }
+  for (uint32_t key : {0u, 3u, 6u, 10u}) {
+    buffers[1].push_back(MakeResult(30, 10, 2, key));
+  }
+  ExpectMergeEqualsSort(buffers, &merger);
+}
+
+TEST(RunMerge, OneShardHoldingTwoRunsOfOneInstance) {
+  RunMerger merger;
+  // A parent's forward to a child closes the child's instance mid-way
+  // through the parent's emission: the parent instance's results arrive
+  // as two runs of shard 0 with the child's between them.
+  std::vector<std::vector<WindowResult>> buffers(2);
+  buffers[0].push_back(MakeResult(40, 20, 0, 0));
+  for (uint32_t key : {0u, 2u, 4u}) {
+    buffers[0].push_back(MakeResult(40, 0, 1, key));
+  }
+  for (uint32_t key : {2u, 4u, 8u}) {
+    buffers[0].push_back(MakeResult(40, 20, 0, key));
+  }
+  for (uint32_t key : {1u, 3u, 5u}) {
+    buffers[1].push_back(MakeResult(40, 20, 0, key));
+    buffers[1].push_back(MakeResult(40, 0, 1, key));
+  }
+  // Shard 1 interleaves the two instances key by key: every result is a
+  // run of its own.
+  ExpectMergeEqualsSort(buffers, &merger);
+}
+
+TEST(RunMerge, EmptyShardsAndEmptyDrains) {
+  RunMerger merger;
+  std::vector<std::vector<WindowResult>> buffers(4);
+  for (uint32_t key = 0; key < 32; key += 3) {
+    buffers[1].push_back(MakeResult(10, 0, 0, key));
+    buffers[3].push_back(MakeResult(10, 0, 0, key + 1));
+  }
+  ExpectMergeEqualsSort(buffers, &merger);  // Shards 0 and 2 are empty.
+  ExpectMergeEqualsSort(std::vector<std::vector<WindowResult>>(3), &merger);
+  ExpectMergeEqualsSort({}, &merger);
+}
+
+TEST(RunMerge, RandomEmissionsMatchTheSort) {
+  // Randomized shapes: per shard, instances close in random order with
+  // random key subsets, some emissions descend part-way, and full-tuple
+  // duplicates appear — the merger must still equal the (stable) sort.
+  RunMerger merger;  // Reused: scratch must not leak between drains.
+  Rng rng(77);
+  for (int round = 0; round < 200; ++round) {
+    const uint32_t shards = static_cast<uint32_t>(rng.Uniform(1, 5));
+    std::vector<std::vector<WindowResult>> buffers(shards);
+    for (uint32_t s = 0; s < shards; ++s) {
+      const int instances = static_cast<int>(rng.Uniform(0, 6));
+      for (int i = 0; i < instances; ++i) {
+        const TimeT end = static_cast<TimeT>(rng.Uniform(1, 4)) * 10;
+        const int op = static_cast<int>(rng.Uniform(0, 2));
+        std::vector<uint32_t> keys;
+        for (uint32_t key = s; key < 48; key += shards) {
+          if (rng.Uniform(0, 2) != 0) keys.push_back(key);
+        }
+        if (rng.Uniform(0, 4) == 0 && keys.size() > 2) {
+          std::reverse(keys.begin() + keys.size() / 2, keys.end());
+        }
+        for (uint32_t key : keys) {
+          buffers[s].push_back(MakeResult(end, end - 10, op, key));
+        }
+      }
+    }
+    ExpectMergeEqualsSort(buffers, &merger);
+    if (HasFailure()) {
+      ADD_FAILURE() << "round " << round;
+      return;
+    }
   }
 }
 
