@@ -4,13 +4,19 @@
 // "<name>Columns" twin driving the same workload through the columnar
 // batch path (OnEvents / PushColumns, DESIGN.md §14); CI's perf smoke
 // compares the pairs and fails if the columnar geomean speedup drops
-// below its floor.
+// below its floor. BM_SessionPush{,Columns} run the same shapes through
+// a whole StreamSession — the path that carries the session's telemetry —
+// so the telemetry ON/OFF overhead gate covers it (DESIGN.md §13).
 
 #include <benchmark/benchmark.h>
+
+#include <memory>
+#include <vector>
 
 #include "cost/min_cost.h"
 #include "exec/engine.h"
 #include "factor/optimizer.h"
+#include "session/session.h"
 #include "workload/datagen.h"
 
 namespace fw {
@@ -258,6 +264,81 @@ void BM_FullPlanOriginalVsRewrittenColumns(benchmark::State& state) {
   state.SetLabel(rewritten ? "rewritten+FW" : "original");
 }
 BENCHMARK(BM_FullPlanOriginalVsRewrittenColumns)->Arg(0)->Arg(1);
+
+// An inline (one-shard) session over 16 meters serving three per-meter
+// MAX dashboards of two windows each — the dense, in-order dashboard
+// shape of the paper's motivating example. Session construction and
+// query registration are untimed; pushing the stream and Finish are.
+std::unique_ptr<StreamSession> MakeDashboardSession(uint64_t* results) {
+  auto session = std::make_unique<StreamSession>(
+      StreamSession::Options{.num_keys = 16, .num_shards = 1});
+  QueryBuilder dashboard =
+      Query().Max("power").From("meters").PerKey("meter");
+  const QueryBuilder queries[] = {
+      QueryBuilder(dashboard).Tumbling(200).Tumbling(300),
+      QueryBuilder(dashboard).Tumbling(400).Hopping(1200, 400),
+      QueryBuilder(dashboard).Tumbling(500).Tumbling(600),
+  };
+  for (const QueryBuilder& query : queries) {
+    if (!session->AddQuery(query, [results](const WindowResult&) {
+                  ++*results;
+                }).ok()) {
+      return nullptr;
+    }
+  }
+  return session;
+}
+
+void BM_SessionPush(benchmark::State& state) {
+  std::vector<Event> events = MakeStream(1 << 16, 16);
+  uint64_t results = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::unique_ptr<StreamSession> session = MakeDashboardSession(&results);
+    if (session == nullptr) {
+      state.SkipWithError("dashboard query rejected");
+      break;
+    }
+    state.ResumeTiming();
+    for (const Event& e : events) {
+      if (!session->Push(e).ok()) state.SkipWithError("push failed");
+    }
+    if (!session->Finish().ok()) state.SkipWithError("finish failed");
+    state.PauseTiming();
+    session.reset();
+    state.ResumeTiming();
+  }
+  benchmark::DoNotOptimize(results);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(events.size()));
+}
+BENCHMARK(BM_SessionPush);
+
+void BM_SessionPushColumns(benchmark::State& state) {
+  std::vector<Event> events = MakeStream(1 << 16, 16);
+  std::vector<EventColumns> chunks = MakeChunks(events);
+  uint64_t results = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::unique_ptr<StreamSession> session = MakeDashboardSession(&results);
+    if (session == nullptr) {
+      state.SkipWithError("dashboard query rejected");
+      break;
+    }
+    state.ResumeTiming();
+    for (const EventColumns& c : chunks) {
+      if (!session->PushColumns(c).ok()) state.SkipWithError("push failed");
+    }
+    if (!session->Finish().ok()) state.SkipWithError("finish failed");
+    state.PauseTiming();
+    session.reset();
+    state.ResumeTiming();
+  }
+  benchmark::DoNotOptimize(results);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(events.size()));
+}
+BENCHMARK(BM_SessionPushColumns);
 
 }  // namespace
 }  // namespace fw

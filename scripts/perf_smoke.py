@@ -5,11 +5,21 @@ Two modes, both gating on a *geometric mean* of per-benchmark
 items_per_second ratios (single micro-benchmarks are noisy in shared CI
 runners; individual outliers are still printed for triage):
 
-* Telemetry overhead budget (DESIGN.md §13). Compares two result files —
-  one from a default (telemetry ON) build, one from -DFW_TELEMETRY=OFF —
-  and fails if ON falls more than the budget below OFF:
+* Telemetry overhead budget (DESIGN.md §13). Takes two builds of one
+  google-benchmark binary — a default (telemetry ON) build and a
+  -DFW_TELEMETRY=OFF one — runs each benchmark on its own, OFF and ON
+  back to back, five times, and fails if the ON medians fall more than
+  the budget below the OFF medians:
 
-      perf_smoke.py --on on.json --off off.json [--budget 0.03]
+      perf_smoke.py --interleave ON_BIN OFF_BIN [--budget 0.03]
+                    [--save-on on.json]
+
+  Two whole runs made a minute apart would compare the host's drift
+  between them instead. The gate covers every benchmark the binaries
+  share. It also prints the geomean over the BM_Session* benchmarks
+  alone — the whole StreamSession path, where most instrumentation
+  sits — for triage. --save-on writes the ON medians as a benchmark
+  result file, which the columnar floor below can read.
 
 * Columnar ingestion floor (DESIGN.md §14). Reads ONE result file and
   pairs every "<name>Columns..." benchmark with its scalar "<name>..."
@@ -44,6 +54,7 @@ import argparse
 import json
 import math
 import statistics
+import subprocess
 import sys
 
 
@@ -107,17 +118,23 @@ def columnar_pairs(rates):
     return pairs
 
 
+def geomean_ratio(rows):
+    """Geometric mean of numerator/denominator over (label, denominator,
+    numerator) rows."""
+    log_sum = 0.0
+    for _, denom, num in rows:
+        ratio = num / denom if denom > 0 else 1.0
+        log_sum += math.log(ratio)
+    return math.exp(log_sum / len(rows))
+
+
 def gate(rows, count_label, geomean_floor, fail_message):
     """Prints a ratio table and applies the geomean floor. `rows` is a
     list of (label, denominator_rate, numerator_rate)."""
     if not rows:
         print("perf_smoke: no %s to gate on" % count_label)
         return 2
-    log_sum = 0.0
-    for _, denom, num in rows:
-        ratio = num / denom if denom > 0 else 1.0
-        log_sum += math.log(ratio)
-    geomean = math.exp(log_sum / len(rows))
+    geomean = geomean_ratio(rows)
     print("geomean ratio over %d %s: %.4fx (floor %.2fx)"
           % (len(rows), count_label, geomean, geomean_floor))
     if geomean < geomean_floor:
@@ -127,13 +144,88 @@ def gate(rows, count_label, geomean_floor, fail_message):
     return 0
 
 
-def run_overhead(opts):
-    on = load_items_per_second(opts.on_path)
-    off = load_items_per_second(opts.off_path)
+SESSION_PREFIX = "BM_Session"
+
+
+def list_benchmarks(binary):
+    try:
+        out = subprocess.run([binary, "--benchmark_list_tests=true"],
+                             check=True, capture_output=True, text=True)
+    except (OSError, subprocess.CalledProcessError) as err:
+        print("perf_smoke: cannot list the benchmarks of %s: %s"
+              % (binary, err))
+        sys.exit(2)
+    return [line.strip() for line in out.stdout.splitlines() if line.strip()]
+
+
+def run_one(binary, name, min_time):
+    """items_per_second of benchmark `name` alone, from a fresh process."""
+    cmd = [binary, "--benchmark_filter=^%s$" % name,
+           "--benchmark_min_time=%s" % min_time, "--benchmark_format=json"]
+    try:
+        out = subprocess.run(cmd, check=True, capture_output=True, text=True)
+        doc = json.loads(out.stdout)
+    except (OSError, subprocess.CalledProcessError, ValueError) as err:
+        print("perf_smoke: %s failed: %s" % (" ".join(cmd), err))
+        sys.exit(2)
+    for bench in doc.get("benchmarks", []):
+        rate = bench.get("items_per_second")
+        if bench.get("name") == name and isinstance(rate, (int, float)) \
+                and rate > 0:
+            return rate
+    print("perf_smoke: %s reported no items_per_second" % " ".join(cmd))
+    sys.exit(2)
+
+
+def save_rates(path, rates):
+    doc = {"context": {"perf_smoke": "per-benchmark median over %d "
+                                     "interleaved runs" % INTERLEAVE_REPS},
+           "benchmarks": [{"name": name, "run_name": name,
+                           "run_type": "iteration",
+                           "repetitions": INTERLEAVE_REPS,
+                           "items_per_second": rate}
+                          for name, rate in sorted(rates.items())]}
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(doc, f, indent=1)
+
+
+# Runs per benchmark and side, and google-benchmark's minimum time per
+# run: about 90 s for bench_engine_micro's 22 benchmarks.
+INTERLEAVE_REPS = 5
+INTERLEAVE_MIN_TIME = "0.2"
+
+
+def run_interleaved(opts):
+    on_bin, off_bin = opts.interleave
+    shared = sorted(set(list_benchmarks(on_bin)) &
+                    set(list_benchmarks(off_bin)))
+    if not shared:
+        print("perf_smoke: %s and %s share no benchmark" % (on_bin, off_bin))
+        return 2
+    samples = {side: {name: [] for name in shared} for side in ("on", "off")}
+    binaries = {"on": on_bin, "off": off_bin}
+    for rep in range(INTERLEAVE_REPS):
+        # Alternate which side runs first, so a steady drift in the host
+        # favours neither.
+        order = ("off", "on") if rep % 2 == 0 else ("on", "off")
+        for name in shared:
+            for side in order:
+                samples[side][name].append(
+                    run_one(binaries[side], name, INTERLEAVE_MIN_TIME))
+    on = {name: statistics.median(v) for name, v in samples["on"].items()}
+    off = {name: statistics.median(v) for name, v in samples["off"].items()}
+    if opts.save_on:
+        save_rates(opts.save_on, on)
+    print("per-benchmark medians over %d interleaved OFF/ON runs"
+          % INTERLEAVE_REPS)
+    return overhead_gate(on, off, "%s and %s" % (on_bin, off_bin),
+                         opts.budget)
+
+
+def overhead_gate(on, off, sources, budget):
     shared = sorted(set(on) & set(off))
     if not shared:
-        print("perf_smoke: no common benchmarks between %s and %s"
-              % (opts.on_path, opts.off_path))
+        print("perf_smoke: no common benchmarks between %s" % sources)
         return 2
 
     print("%-44s %14s %14s %8s" % ("benchmark", "off items/s", "on items/s",
@@ -141,13 +233,20 @@ def run_overhead(opts):
     rows = []
     for name in shared:
         ratio = on[name] / off[name] if off[name] > 0 else 1.0
-        flag = "  <-- slow" if ratio < 1.0 - opts.budget else ""
+        flag = "  <-- slow" if ratio < 1.0 - budget else ""
         print("%-44s %14.0f %14.0f %7.3fx%s"
               % (name, off[name], on[name], ratio, flag))
         rows.append((name, off[name], on[name]))
-    return gate(rows, "benchmarks", 1.0 - opts.budget,
+    session_rows = [row for row in rows if row[0].startswith(SESSION_PREFIX)]
+    if session_rows:
+        print("session-path geomean ratio over %d benchmarks: %.4fx"
+              % (len(session_rows), geomean_ratio(session_rows)))
+    else:
+        print("perf_smoke: note — no %s* benchmarks, so the session path "
+              "is not measured" % SESSION_PREFIX)
+    return gate(rows, "benchmarks", 1.0 - budget,
                 "telemetry overhead exceeds the %.0f%% budget"
-                % (opts.budget * 100))
+                % (budget * 100))
 
 
 def run_columnar(opts):
@@ -223,12 +322,15 @@ def run_check(paths):
 
 def main(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--on", dest="on_path",
-                        help="benchmark json from the telemetry-ON build")
-    parser.add_argument("--off", dest="off_path",
-                        help="benchmark json from the -DFW_TELEMETRY=OFF build")
     parser.add_argument("--budget", type=float, default=0.03,
                         help="allowed fractional slowdown (default 0.03)")
+    parser.add_argument("--interleave", nargs=2,
+                        metavar=("ON_BIN", "OFF_BIN"),
+                        help="run the telemetry-ON and -OFF benchmark "
+                             "binaries one benchmark at a time, "
+                             "alternating, and gate on the medians")
+    parser.add_argument("--save-on", metavar="FILE",
+                        help="--interleave: write the ON medians here")
     parser.add_argument("--columnar", dest="columnar_path",
                         help="benchmark json holding scalar and *Columns "
                              "twins; gates columnar/scalar speedup")
@@ -248,9 +350,9 @@ def main(argv):
     opts = parser.parse_args(argv)
 
     modes = [bool(opts.check_paths), bool(opts.columnar_path),
-             bool(opts.durable_paths), bool(opts.on_path or opts.off_path)]
+             bool(opts.durable_paths), bool(opts.interleave)]
     if sum(modes) > 1:
-        print("perf_smoke: --check, --columnar, --durable, and --on/--off "
+        print("perf_smoke: --check, --columnar, --durable and --interleave "
               "are mutually exclusive")
         return 2
     if opts.check_paths:
@@ -263,12 +365,11 @@ def main(argv):
         if opts.min_ratio is None:
             opts.min_ratio = 0.5
         return run_durable(opts)
-    if not opts.on_path or not opts.off_path:
+    if not opts.interleave:
         print("perf_smoke: need --check FILE..., --columnar FILE, "
-              "--durable FILE..., or both --on and --off")
+              "--durable FILE..., or --interleave ON_BIN OFF_BIN")
         return 2
-    return run_overhead(opts)
-
+    return run_interleaved(opts)
 
 if __name__ == "__main__":
     sys.exit(main(sys.argv[1:]))

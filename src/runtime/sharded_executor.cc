@@ -26,7 +26,7 @@ struct EventBatch {
 };
 }  // namespace
 
-/// One worker shard. The members split into three ownership classes,
+/// One worker shard. The members split into four ownership classes,
 /// annotated for the thread-safety analysis (DESIGN.md §12):
 ///
 ///  * worker-owned (`executor`, `buffer`): guarded by `worker_role` — the
@@ -34,30 +34,33 @@ struct EventBatch {
 ///    only across a quiesce (`consumed == enqueued`, whose acquire load
 ///    pairs with the worker's release increment) or after joining the
 ///    worker, and every such site asserts the role naming that edge;
-///  * session-owned (`pending`, `enqueued`, `worker`): guarded by the
-///    executor's session role (held here by pointer, since a capability
-///    expression must name a member reachable from the shard);
+///  * worker-written telemetry (`handoff`): a single-writer cell of
+///    relaxed atomics — the worker records, the session thread only
+///    reads (folds), so it needs no guard;
+///  * session-owned (`pending`, `enqueued`, `worker`, `handoff_folded`):
+///    guarded by the executor's session role (held here by pointer, since
+///    a capability expression must name a member reachable from the
+///    shard);
 ///  * the synchronization fabric itself (`queue`, `consumed`): the SPSC
 ///    ring and the quiesce counter are the primitives that *create* the
 ///    handoff edges, so they are intentionally unguarded — their safety
 ///    argument is the memory-order analysis in runtime/spsc_queue.h.
 struct ShardedExecutor::Shard {
-  Shard(size_t queue_capacity, const ThreadRole* session, uint32_t shard_index,
-        telemetry::Histogram* handoff)
-      : session_role(session),
-        index(shard_index),
-        handoff_hist(handoff),
-        queue(queue_capacity) {}
+  Shard(size_t queue_capacity, const ThreadRole* session, uint32_t shard_index)
+      : session_role(session), index(shard_index), queue(queue_capacity) {}
 
   /// Capability of this shard's worker thread (see above).
   ThreadRole worker_role;
   /// The owning executor's session_role_, the producer-side capability.
   const ThreadRole* const session_role;
-  /// Position in the topology — the metric cell this shard writes.
+  /// Position in the topology (the ring high-water mark's cell).
   const uint32_t index;
-  /// Batch hand-off latency sink (internally thread-safe; see the
-  /// executor's handoff_hist_).
-  telemetry::Histogram* const handoff_hist;
+  /// Enqueue→folded latency of this shard's batches. The worker is its
+  /// only writer; the session thread folds it into the registry's
+  /// executor.batch_handoff_ns (FoldHandoff), never writing it.
+  telemetry::HistogramCell handoff;
+  /// The part of `handoff` already folded into the registry.
+  telemetry::HistogramSnapshot handoff_folded FW_GUARDED_BY(session_role);
 
   /// Results with their run boundaries, recorded as the worker emits.
   RunBuffer buffer FW_GUARDED_BY(worker_role);
@@ -79,8 +82,11 @@ ShardedExecutor::ShardedExecutor(const QueryPlan& plan,
     : options_(options),
       sink_(sink),
       plan_(&plan),
+      own_metrics_(options.metrics != nullptr
+                       ? nullptr
+                       : std::make_unique<telemetry::MetricsRegistry>()),
       metrics_(options.metrics != nullptr ? options.metrics
-                                          : telemetry::ScratchRegistry()),
+                                          : own_metrics_.get()),
       handoff_hist_(metrics_->GetHistogram("executor.batch_handoff_ns")),
       ring_highwater_(metrics_->GetMaxGauge("executor.ring_highwater_batches")),
       released_counter_(metrics_->GetCounter("reorder.released_events")),
@@ -113,8 +119,7 @@ void ShardedExecutor::BuildTopology() {
   shards_.reserve(shards);
   for (uint32_t i = 0; i < shards; ++i) {
     auto shard = std::make_unique<Shard>(
-        std::max<size_t>(options_.queue_capacity, 2), &session_role_, i,
-        handoff_hist_);
+        std::max<size_t>(options_.queue_capacity, 2), &session_role_, i);
     // No worker exists yet: the building thread owns the whole shard,
     // worker-side members included.
     shard->worker_role.AssertHeld();
@@ -139,8 +144,8 @@ void ShardedExecutor::BuildTopology() {
           // One sample per batch: time from producer flush to fully
           // folded. kEnabled is constexpr, so OFF builds drop the whole
           // block — no clock read on the worker either.
-          s->handoff_hist->Record(
-              s->index, telemetry::NowNanosIfEnabled() - batch.enqueued_ns);
+          s->handoff.Record(telemetry::NowNanosIfEnabled() -
+                            batch.enqueued_ns);
         }
         s->consumed.fetch_add(1, std::memory_order_release);
       }
@@ -165,7 +170,15 @@ void ShardedExecutor::StopWorkers() {
     shard->session_role->AssertHeld();
     if (shard->worker.joinable()) shard->worker.join();
   }
+  FoldHandoff();
   stopped_ = true;
+}
+
+void ShardedExecutor::FoldHandoff() {
+  for (auto& shard : shards_) {
+    shard->session_role->AssertHeld();  // `handoff_folded` is session-side.
+    handoff_hist_->Fold(0, shard->handoff, &shard->handoff_folded);
+  }
 }
 
 void ShardedExecutor::FlushPending(Shard* shard) {
@@ -180,7 +193,8 @@ void ShardedExecutor::FlushPending(Shard* shard) {
   shard->queue.Push(std::move(batch));
   ++shard->enqueued;
   // In-flight high-water mark (relaxed read: an undercount by in-flight
-  // consumption only makes the mark conservative, never wrong).
+  // consumption only makes the mark conservative, never wrong). Includes
+  // the batch the worker holds, so it peaks at capacity + 1.
   ring_highwater_->UpdateMax(
       shard->index,
       shard->enqueued - shard->consumed.load(std::memory_order_relaxed));
@@ -331,6 +345,7 @@ void ShardedExecutor::Quiesce() {
       backoff.Pause();
     }
   }
+  FoldHandoff();
 }
 
 void ShardedExecutor::DeliverBuffered() {
@@ -615,10 +630,13 @@ double ShardedExecutor::RingOccupancy() const {
   double worst = 0.0;
   for (const auto& shard : shards_) {
     shard->session_role->AssertHeld();  // `enqueued` is producer-side.
+    // In flight = queued batches plus the one the worker may have popped
+    // and still be folding, so the maximum is capacity + 1.
     const uint64_t in_flight =
         shard->enqueued - shard->consumed.load(std::memory_order_acquire);
-    worst = std::max(worst, static_cast<double>(in_flight) /
-                                static_cast<double>(shard->queue.capacity()));
+    worst = std::max(worst,
+                     static_cast<double>(in_flight) /
+                         static_cast<double>(shard->queue.capacity() + 1));
   }
   return worst;
 }

@@ -124,8 +124,9 @@ class ShardedExecutor {
     /// Metric namespace for this executor's instrumentation (DESIGN.md
     /// §13): batch hand-off latency, ring high-water marks, reorder
     /// release/late counts, structural trace events. Null (the default)
-    /// falls back to a process-global scratch registry, so instrumented
-    /// code never branches on wiring. Must outlive the executor.
+    /// gives the executor a private registry of its own, so instrumented
+    /// code never branches on wiring and sessionless executors on
+    /// different threads never share a cell. Must outlive the executor.
     telemetry::MetricsRegistry* metrics = nullptr;
   };
 
@@ -275,10 +276,12 @@ class ShardedExecutor {
   }
 
   /// Instantaneous hand-off backlog: the worst shard's in-flight batch
-  /// count as a fraction of its ring capacity, in [0, 1]. 0 in inline
-  /// mode (no rings). A cheap load signal (SessionStats::ring_occupancy)
-  /// — sampled without quiescing, so it is a snapshot, not a high-water
-  /// mark.
+  /// count as a fraction of its in-flight maximum, in [0, 1]. In flight
+  /// counts the batches queued in the ring plus the one the worker may
+  /// have popped and still be folding, so the maximum is ring capacity
+  /// + 1. 0 in inline mode (no rings). A cheap load signal
+  /// (SessionStats::ring_occupancy) — sampled without quiescing, so it is
+  /// a snapshot, not a high-water mark.
   double RingOccupancy() const;
 
  private:
@@ -312,8 +315,12 @@ class ShardedExecutor {
   std::vector<uint64_t> LivePerOperatorFinalizes() const
       FW_REQUIRES(session_role_);
   /// Flushes all pending batches and waits until every worker has consumed
-  /// its queue. Afterwards the session thread may read shard state.
+  /// its queue, then folds the hand-off samples. Afterwards the session
+  /// thread may read shard state.
   void Quiesce() FW_REQUIRES(session_role_);
+  /// Folds each shard's new hand-off samples into handoff_hist_. Exact
+  /// only once the workers are quiesced or joined.
+  void FoldHandoff() FW_REQUIRES(session_role_);
   /// Delivers every shard's buffered results to the sink in (end, start,
   /// operator, key) order by merging their runs (runtime/run_merge.h).
   /// Requires quiesced (or joined) workers.
@@ -377,15 +384,19 @@ class ShardedExecutor {
   uint64_t reorder_buffer_peak_ FW_GUARDED_BY(session_role_) = 0;
 
   /// Telemetry (DESIGN.md §13). The registry outlives the executor (it
-  /// is session-owned, or the process-global scratch); handles are
-  /// resolved once at construction and never per event. The handles
-  /// themselves are immutable pointers; the metric objects they point at
-  /// are internally thread-safe (relaxed sharded cells).
+  /// is session-owned, or own_metrics_); handles are resolved once at
+  /// construction and never per event. Every registry cell below is
+  /// written only by the session thread, so a crossover's two live
+  /// executors share cells without sharing a writer.
+  const std::unique_ptr<telemetry::MetricsRegistry> own_metrics_;
   telemetry::MetricsRegistry* const metrics_;
   /// Enqueue→folded latency of each hand-off batch, one sample per
-  /// batch (cell = shard index); recorded by the workers.
+  /// batch. Workers record into their Shard's own cell; Quiesce and
+  /// StopWorkers fold those into cell 0 here.
   telemetry::Histogram* const handoff_hist_;
-  /// Per-shard in-flight-batch high-water marks (cell = shard index).
+  /// Per-shard in-flight-batch high-water marks (cell = shard index),
+  /// raised at each hand-off. In flight includes the batch the worker
+  /// holds, so a mark peaks at ring capacity + 1.
   telemetry::MaxGauge* const ring_highwater_;
   /// Watermark-released and late event tallies of the reorder stage.
   telemetry::Counter* const released_counter_;

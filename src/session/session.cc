@@ -771,7 +771,7 @@ Status StreamSession::Push(const Event& event) {
   events_pushed_counter_->Increment(0);
   // Event-time lag behind the newest timestamp seen: 0 when in order,
   // the disorder distribution otherwise (late events land past
-  // max_delay). Two relaxed adds and a bit_width — no clock read.
+  // max_delay). Two single-writer adds and a bit_width — no clock read.
   watermark_lag_hist_->Record(
       0, static_cast<uint64_t>(watermark_ - event.timestamp));
   if (!executor_) {
@@ -1082,10 +1082,11 @@ StreamSession::SessionMetrics StreamSession::Metrics() const {
   metrics.stats = BuildStats();
 
   // Per-operator breakdown of the current topology — during a crossover,
-  // the live (new-plan) pipeline. The executor getters quiesce, so the
-  // counts are exact at this instant; they are cumulative across Resize
-  // (executor-banked retired tallies) but restart at each replan (new
-  // plan, new operators).
+  // the live (new-plan) pipeline. The executor getters quiesce (which
+  // also folds both pipelines' worker hand-off samples into the
+  // registry), so the counts are exact at this instant; they are
+  // cumulative across Resize (executor-banked retired tallies) but
+  // restart at each replan (new plan, new operators).
   uint64_t closes_total = retired_closes_total_;
   uint64_t finalizes_total = retired_finalizes_total_;
   if (cross_) {

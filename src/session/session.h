@@ -315,8 +315,9 @@ class StreamSession {
     /// events never count; reordered events count on release.
     std::vector<uint64_t> events_per_shard;
     /// Instantaneous worst-shard hand-off backlog in [0, 1] (in-flight
-    /// batches / ring capacity), sampled when Stats() or Metrics() is
-    /// read. 0 for inline (1-shard), idle and finished sessions.
+    /// batches / (ring capacity + 1): the ring plus the batch the worker
+    /// is folding), sampled when Stats() or Metrics() is read. 0 for
+    /// inline (1-shard), idle and finished sessions.
     double ring_occupancy = 0.0;
     /// Events that arrived behind the watermark (max_delay sessions):
     /// counted here — and side-output under LatePolicy::kSideOutput —

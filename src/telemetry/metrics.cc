@@ -51,17 +51,57 @@ double HistogramSnapshot::Percentile(double q) const {
   return static_cast<double>(BucketHigh(kHistogramBuckets - 1));
 }
 
+void HistogramCell::Merge(const HistogramSnapshot& samples) {
+#if FW_TELEMETRY_ENABLED
+  writer_.Check();
+  for (uint32_t b = 0; b < kHistogramBuckets; ++b) {
+    if (samples.buckets[b] != 0) {
+      internal::Bump(buckets_[b], samples.buckets[b]);
+    }
+  }
+  internal::Bump(sum_, samples.sum);
+#else
+  (void)samples;
+#endif
+}
+
+void HistogramCell::AddTo(HistogramSnapshot* snap) const {
+#if FW_TELEMETRY_ENABLED
+  for (uint32_t b = 0; b < kHistogramBuckets; ++b) {
+    uint64_t n = buckets_[b].load(std::memory_order_relaxed);
+    snap->buckets[b] += n;
+    snap->count += n;
+  }
+  snap->sum += sum_.load(std::memory_order_relaxed);
+#else
+  (void)snap;
+#endif
+}
+
+void Histogram::Fold(uint32_t cell, const HistogramCell& source,
+                     HistogramSnapshot* folded) {
+#if FW_TELEMETRY_ENABLED
+  HistogramSnapshot now;
+  source.AddTo(&now);
+  HistogramSnapshot delta;
+  delta.count = now.count - folded->count;
+  delta.sum = now.sum - folded->sum;
+  for (uint32_t b = 0; b < kHistogramBuckets; ++b) {
+    delta.buckets[b] = now.buckets[b] - folded->buckets[b];
+  }
+  if (delta.count != 0) cells_[cell & kCellMask].Merge(delta);
+  *folded = now;
+#else
+  (void)cell;
+  (void)source;
+  (void)folded;
+#endif
+}
+
 HistogramSnapshot Histogram::Snapshot() const {
   HistogramSnapshot snap;
 #if FW_TELEMETRY_ENABLED
-  for (const Shard& shard : shards_) {
-    for (uint32_t b = 0; b < kHistogramBuckets; ++b) {
-      uint64_t n = shard.buckets[b].load(std::memory_order_relaxed);
-      snap.buckets[b] += n;
-      snap.count += n;
-    }
-    snap.sum += shard.sum.load(std::memory_order_relaxed);
-  }
+  for (const HistogramCell& cell : cells_) cell.AddTo(&snap);
 #endif
   return snap;
 }
@@ -206,14 +246,6 @@ void MetricsRegistry::RecordTrace(TraceKind, uint64_t, int64_t, int64_t) {}
 MetricsSnapshot MetricsRegistry::Snapshot() const { return MetricsSnapshot{}; }
 
 #endif  // FW_TELEMETRY_ENABLED
-
-MetricsRegistry* ScratchRegistry() {
-  // Leaked: executors outlive no sessions here, but test fixtures create
-  // bare ShardedExecutors whose threads may still write at static-destructor
-  // time; a leaked registry can never dangle.
-  static MetricsRegistry* scratch = new MetricsRegistry();
-  return scratch;
-}
 
 }  // namespace telemetry
 }  // namespace fw

@@ -2,15 +2,19 @@
 #define FW_TELEMETRY_METRICS_H_
 
 /// Always-on runtime telemetry (DESIGN.md §13): a session-owned registry
-/// of sharded metric cells — relaxed-atomic counters, gauges, and
+/// of sharded metric cells — single-writer counters, gauges, and
 /// fixed-bucket log2 latency histograms — plus a bounded trace-event ring
 /// for structural events (replans, resizes, watermark stalls, late-event
 /// bursts). Designed around three constraints:
 ///
-///  * the hot path never takes a lock or shares a cache line across
-///    shards: every metric is an array of cache-line-aligned cells,
-///    writers touch only their own cell with relaxed atomics, and cells
-///    are summed only at snapshot time;
+///  * the hot path never takes a lock, never issues a locked
+///    read-modify-write, and never shares a cache line across writers:
+///    every metric is an array of cache-line-aligned cells, every cell has
+///    exactly one writer thread, and a write is a relaxed load, an add (or
+///    compare), and a relaxed store. Cells are summed only at snapshot
+///    time. Builds without NDEBUG enforce the one-writer rule: each cell
+///    remembers the first thread that wrote it, and a write from any other
+///    thread fails an FW_CHECK instead of silently losing an update;
 ///  * measurement never perturbs results: telemetry reads the clock
 ///    (common/clock.h) and counts, but nothing observable — results,
 ///    watermarks, checkpoints — ever depends on a metric value, so the
@@ -29,7 +33,10 @@
 /// same object — which is exactly what makes counters cumulative across
 /// executor swaps and exact across Resize: the cells never move, so no
 /// count is dropped or double-merged (tests/telemetry_test.cc pins
-/// 1→4→2).
+/// 1→4→2). A session writes every registry cell it uses from its own
+/// thread; threads that produce samples of their own (the sharded
+/// executor's workers) record into a private HistogramCell that the
+/// session thread folds into the registry (Histogram::Fold).
 
 #include <array>
 #include <atomic>
@@ -41,6 +48,11 @@
 #include <string_view>
 #include <vector>
 
+#ifndef NDEBUG
+#include <thread>
+
+#include "common/logging.h"
+#endif
 #include "common/mutex.h"
 
 #if defined(FW_TELEMETRY_DISABLED)
@@ -56,9 +68,9 @@ namespace telemetry {
 /// skip snapshot plumbing entirely when the layer is compiled out.
 inline constexpr bool kEnabled = FW_TELEMETRY_ENABLED != 0;
 
-/// Cells per metric. Shard i writes cell (i & kCellMask); with more
-/// shards than cells, distant shards share a cell — totals stay exact
-/// (cells are summed), only false sharing could reappear past 16 workers.
+/// Cells per metric. Cell indices wrap modulo kCells, so distinct
+/// indices may alias one cell — harmless only while the aliases share the
+/// cell's one writer thread (a session writes cell 0 of every metric).
 inline constexpr uint32_t kCells = 16;
 inline constexpr uint32_t kCellMask = kCells - 1;
 static_assert((kCells & kCellMask) == 0, "kCells must be a power of two");
@@ -92,21 +104,63 @@ uint64_t NowNanosIfEnabled();
 
 #if FW_TELEMETRY_ENABLED
 namespace internal {
+
+#ifndef NDEBUG
+/// Debug-build single-writer check: the first thread to write a cell
+/// becomes its owner, and a write from any other thread aborts — a
+/// second writer would otherwise lose updates silently.
+class WriterCheck {
+ public:
+  void Check() {
+    const std::thread::id me = std::this_thread::get_id();
+    std::thread::id owner = owner_.load(std::memory_order_relaxed);
+    if (owner == me) return;
+    if (owner == std::thread::id() &&
+        owner_.compare_exchange_strong(owner, me, std::memory_order_relaxed)) {
+      return;
+    }
+    FW_CHECK(owner == me)
+        << "telemetry cell written by a second thread; every cell must "
+           "have exactly one writer (DESIGN.md §13)";
+  }
+
+ private:
+  std::atomic<std::thread::id> owner_{};
+};
+#else
+/// Release builds carry no check.
+class WriterCheck {
+ public:
+  void Check() {}
+};
+#endif
+
+/// The single-writer update: a relaxed load and a relaxed store, so no
+/// `lock` prefix. Only safe because the caller is the slot's one writer;
+/// concurrent readers see either the old or the new value, never a tear.
+inline void Bump(std::atomic<uint64_t>& slot, uint64_t delta) {
+  slot.store(slot.load(std::memory_order_relaxed) + delta,
+             std::memory_order_relaxed);
+}
+
 struct alignas(64) Cell {
   std::atomic<uint64_t> value{0};
+  [[no_unique_address]] WriterCheck writer;
 };
+
 }  // namespace internal
 #endif
 
-/// Monotonic event count, sharded. Writers pass their shard index; any
-/// index is safe (masked). Total() is a relaxed sum — exact once the
+/// Monotonic event count, sharded. The caller picks the cell and must be
+/// its only writer thread. Total() is a relaxed sum — exact once the
 /// writers are quiesced, a live snapshot otherwise.
 class Counter {
  public:
   void Add(uint32_t cell, uint64_t delta) {
 #if FW_TELEMETRY_ENABLED
-    cells_[cell & kCellMask].value.fetch_add(delta,
-                                             std::memory_order_relaxed);
+    internal::Cell& slot = cells_[cell & kCellMask];
+    slot.writer.Check();
+    internal::Bump(slot.value, delta);
 #else
     (void)cell;
     (void)delta;
@@ -159,16 +213,16 @@ class Gauge {
 };
 
 /// Sharded high-water mark (e.g. per-shard ring backlog peaks). Each
-/// writer raises only its own cell; Max() is the cross-cell maximum.
+/// cell has one writer, which raises it with a load, a compare, and a
+/// store; Max() is the cross-cell maximum.
 class MaxGauge {
  public:
   void UpdateMax(uint32_t cell, uint64_t value) {
 #if FW_TELEMETRY_ENABLED
-    std::atomic<uint64_t>& slot = cells_[cell & kCellMask].value;
-    uint64_t seen = slot.load(std::memory_order_relaxed);
-    while (value > seen &&
-           !slot.compare_exchange_weak(seen, value,
-                                       std::memory_order_relaxed)) {
+    internal::Cell& slot = cells_[cell & kCellMask];
+    slot.writer.Check();
+    if (value > slot.value.load(std::memory_order_relaxed)) {
+      slot.value.store(value, std::memory_order_relaxed);
     }
 #else
     (void)cell;
@@ -215,30 +269,62 @@ struct HistogramSnapshot {
   }
 };
 
-/// Fixed-bucket log2 latency histogram, sharded like Counter. Record is
-/// a bit_width plus two relaxed adds (bucket count and value sum).
+/// One writer's row of log2 buckets plus a value sum. A Histogram is an
+/// array of these; a thread that samples on its own (a sharded executor's
+/// worker) owns a standalone one, which its session thread folds into
+/// the registry with Histogram::Fold — reading it, never writing it.
+/// Record is a bit_width plus two single-writer adds.
+class HistogramCell {
+ public:
+  void Record(uint64_t value) {
+#if FW_TELEMETRY_ENABLED
+    writer_.Check();
+    internal::Bump(buckets_[BucketOf(value)], 1);
+    internal::Bump(sum_, value);
+#else
+    (void)value;
+#endif
+  }
+
+  /// Adds a snapshot's samples to this row (the fold's write side).
+  void Merge(const HistogramSnapshot& samples);
+
+  /// Adds this row's samples into *snap.
+  void AddTo(HistogramSnapshot* snap) const;
+
+ private:
+#if FW_TELEMETRY_ENABLED
+  alignas(64) std::array<std::atomic<uint64_t>, kHistogramBuckets> buckets_{};
+  std::atomic<uint64_t> sum_{0};
+  [[no_unique_address]] internal::WriterCheck writer_;
+#endif
+};
+
+/// Fixed-bucket log2 latency histogram, sharded like Counter (one writer
+/// thread per cell).
 class Histogram {
  public:
   void Record(uint32_t cell, uint64_t value) {
 #if FW_TELEMETRY_ENABLED
-    Shard& shard = shards_[cell & kCellMask];
-    shard.buckets[BucketOf(value)].fetch_add(1, std::memory_order_relaxed);
-    shard.sum.fetch_add(value, std::memory_order_relaxed);
+    cells_[cell & kCellMask].Record(value);
 #else
     (void)cell;
     (void)value;
 #endif
   }
 
+  /// Adds to `cell` the samples `source` gained since `*folded`, then
+  /// sets *folded to source's current state. Only reads `source`, so its
+  /// writer keeps sole ownership; the caller writes `cell` and must have
+  /// synchronized with source's writer for the fold to be exact.
+  void Fold(uint32_t cell, const HistogramCell& source,
+            HistogramSnapshot* folded);
+
   HistogramSnapshot Snapshot() const;
 
  private:
 #if FW_TELEMETRY_ENABLED
-  struct alignas(64) Shard {
-    std::array<std::atomic<uint64_t>, kHistogramBuckets> buckets{};
-    std::atomic<uint64_t> sum{0};
-  };
-  std::array<Shard, kCells> shards_{};
+  std::array<HistogramCell, kCells> cells_{};
 #endif
 };
 
@@ -286,9 +372,10 @@ struct MetricsSnapshot {
 /// The session-owned metric namespace. Registration and snapshotting
 /// lock `mu_`; the returned metric objects are lock-free and live at
 /// stable addresses until the registry dies (the executor handle
-/// contract above). Thread-safe throughout — but by design only
-/// registration, trace recording, and Snapshot ever touch the lock, and
-/// none of those is on the per-event path.
+/// contract above). The registry's own methods are thread-safe, and by
+/// design only registration, trace recording, and Snapshot ever touch
+/// the lock — none of them on the per-event path. Writes to the metric
+/// objects follow the one-writer-per-cell rule.
 class MetricsRegistry {
  public:
   MetricsRegistry();
@@ -332,12 +419,6 @@ class MetricsRegistry {
   uint64_t trace_next_ FW_GUARDED_BY(mu_) = 0;
 #endif
 };
-
-/// Fallback registry for executors constructed without a session (tests,
-/// raw harness runs): writes land in a process-global scratch namespace
-/// nobody snapshots, so instrumented code never branches on "is
-/// telemetry wired". Leaked intentionally (lives for the process).
-MetricsRegistry* ScratchRegistry();
 
 }  // namespace telemetry
 }  // namespace fw

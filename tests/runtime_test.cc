@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <map>
@@ -584,6 +585,99 @@ TEST(ShardedExecutor, MergeOrderIsDeterministicAndSortedPerDrain) {
   ASSERT_EQ(first.size(), expected.size());
   for (size_t i = 0; i < expected.size(); ++i) {
     EXPECT_TRUE(SameResult(first[i], expected[i])) << "position " << i;
+  }
+}
+
+// A SUM whose accumulate waits while `g_hold_workers` is set: it parks
+// a shard worker in the middle of folding a batch, so a test can fill
+// that shard's ring deterministically.
+std::atomic<bool> g_hold_workers{false};
+
+void HeldSumAccumulate(AggState* state, double value) {
+  while (g_hold_workers.load(std::memory_order_acquire)) {
+    std::this_thread::yield();
+  }
+  state->v1 += value;
+  ++state->n;
+}
+void HeldSumMerge(AggState* state, const AggState& other) {
+  if (other.n == 0) return;
+  state->v1 += other.v1;
+  state->n += other.n;
+}
+double HeldSumFinalize(const AggState& state) { return state.v1; }
+
+AggFn HeldSum() {
+  static AggFn fn = [] {
+    AggregateFunction held;
+    held.name = "HELD_SUM";
+    held.description = "SUM whose accumulate waits on a test latch";
+    held.agg_class = AggClass::kDistributive;
+    held.accumulate = HeldSumAccumulate;
+    held.merge = HeldSumMerge;
+    held.finalize = HeldSumFinalize;
+    Result<AggFn> registered = AggregateRegistry::Global().Register(held);
+    EXPECT_TRUE(registered.ok()) << registered.status().ToString();
+    return *registered;
+  }();
+  return fn;
+}
+
+// RingOccupancy's [0, 1] contract at saturation. With its worker parked
+// inside the first one-event batch, a capacity-2 shard takes two more
+// batches before the producer would block: three in flight, the
+// maximum. The occupancy divides by that maximum (capacity + 1), so the
+// full ring reads exactly 1 — the ring capacity alone would give 3/2.
+TEST(ShardedExecutor, RingOccupancyStaysInUnitIntervalAtSaturation) {
+  constexpr uint32_t kKeys = 2;
+  WindowSet windows;
+  ASSERT_TRUE(windows.Add(Window(64, 64)).ok());
+  QueryPlan plan = QueryPlan::Original(windows, HeldSum());
+
+  telemetry::MetricsRegistry registry;
+  ShardedExecutor::Options options;
+  options.num_keys = kKeys;
+  options.num_shards = 2;
+  options.batch_size = 1;
+  options.queue_capacity = 2;
+  options.drain_interval = 1 << 20;
+  options.metrics = &registry;
+  CollectingSink sink;
+  ShardedExecutor executor(plan, options, &sink);
+  // Declared after the executor, so it is destroyed first: an early
+  // return never leaves a worker parked while the executor joins it.
+  struct Release {
+    ~Release() { g_hold_workers.store(false, std::memory_order_release); }
+  } release;
+
+  g_hold_workers.store(true, std::memory_order_release);
+  TimeT t = 0;
+  for (int i = 0; i < 3; ++i) executor.Push({.timestamp = t++, .key = 0});
+  // The third Push fit only once the worker had popped the first batch,
+  // which it is still folding: two queued plus one held.
+  EXPECT_EQ(executor.RingOccupancy(), 1.0);
+  g_hold_workers.store(false, std::memory_order_release);
+
+  // Free-running from here: every sample stays in [0, 1].
+  for (int i = 0; i < 2000; ++i) {
+    executor.Push({.timestamp = t++, .key = static_cast<uint32_t>(i % 2)});
+    const double occupancy = executor.RingOccupancy();
+    ASSERT_GE(occupancy, 0.0);
+    ASSERT_LE(occupancy, 1.0);
+  }
+  executor.Finish();
+  EXPECT_EQ(executor.RingOccupancy(), 0.0);  // Joined: nothing in flight.
+  EXPECT_FALSE(sink.results().empty());
+
+  telemetry::MetricsSnapshot snap = registry.Snapshot();
+  if (telemetry::kEnabled) {
+    // The high-water mark counts the same in-flight batches, so the
+    // saturated ring peaks at exactly capacity + 1.
+    EXPECT_EQ(snap.gauges.at("executor.ring_highwater_batches"), 3.0);
+    // batch_size 1: every event was its own hand-off batch, and each
+    // left exactly one folded latency sample.
+    EXPECT_EQ(snap.histograms.at("executor.batch_handoff_ns").count,
+              static_cast<uint64_t>(t));
   }
 }
 

@@ -1,7 +1,10 @@
 // Telemetry layer (DESIGN.md §13): bucket math and percentile contracts
 // of the log2 histogram, sharded-cell exactness, trace-ring bounds,
-// renderer formats, and the headline merge contract — session counters
-// stay exact across a 1→4→2 live resize ramp. Writer/snapshot races run
+// renderer formats, the headline merge contract — session counters
+// stay exact across a 1→4→2 live resize ramp — and the one-writer-per-
+// cell contract: worker hand-off samples fold exactly through a drift
+// crossover and past 16 shards, and (in builds without NDEBUG) a second
+// writer thread aborts. Writer/snapshot races run
 // under the `threaded` label, so the ThreadSanitizer CI leg proves
 // snapshots are race-free. Every value assertion is gated on
 // telemetry::kEnabled, so this suite also passes in a
@@ -13,6 +16,7 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
+#include <string>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -99,8 +103,9 @@ TEST(Histogram, PercentileRankWalk) {
 TEST(Counter, ShardedCellsSumExactly) {
   Counter counter;
   uint64_t expected = 0;
-  // Hit every cell, including indices past the mask (shard 16+ aliases
-  // onto cell (i & 15) — totals must stay exact either way).
+  // Hit every cell, including indices past the mask (index 16+ aliases
+  // onto cell (i & 15) — totals must stay exact either way). One thread
+  // writes them all, so every aliased cell still has a single writer.
   for (uint32_t i = 0; i < 3 * kCells; ++i) {
     counter.Add(i, i + 1);
     expected += i + 1;
@@ -188,7 +193,9 @@ TEST(Registry, CompileOutContract) {
 // Writers on four threads against one registry while the main thread
 // snapshots continuously: TSan (the `threaded` CI leg) proves the
 // relaxed cells and the locked snapshot never race, and the final
-// quiesced snapshot is exact.
+// quiesced snapshot is exact. Each writer owns its own cell (cell t) —
+// the one-writer-per-cell contract that makes a plain load+store update
+// lossless.
 TEST(Registry, SnapshotIsRaceFreeAndExactOnceQuiesced) {
   MetricsRegistry registry;
   Counter* counter = registry.GetCounter("t.counter");
@@ -392,6 +399,212 @@ TEST(SessionMetrics, CountersMergeExactlyAcrossResizeRamp) {
   } else {
     EXPECT_FALSE(ramp.telemetry.enabled);
     EXPECT_TRUE(ramp.telemetry.counters.empty());
+  }
+}
+
+// PushColumns records each event's watermark lag against a local
+// watermark while it validates the batch; the histogram must equal
+// per-event Push's, sample for sample — over a disordered stream whose
+// lags spread across buckets, with some events late enough to be
+// dropped.
+TEST(SessionMetrics, ColumnarLagHistogramMatchesScalar) {
+  if (!kEnabled) GTEST_SKIP() << "compiled-out histograms record nothing";
+  const std::vector<Event> events = ApplyBoundedDisorder(
+      GenerateSyntheticStream(6'000, 16, 95), 12, 96);
+  auto run = [&](bool columnar) {
+    StreamSession session({.num_keys = 16, .max_delay = 6});
+    SessionResults results;
+    AddDashboards(session, &results);
+    if (columnar) {
+      for (const EventColumns& batch : SplitIntoColumns(events, 97)) {
+        EXPECT_TRUE(session.PushColumns(batch).ok());
+      }
+    } else {
+      for (const Event& e : events) EXPECT_TRUE(session.Push(e).ok());
+    }
+    EXPECT_TRUE(session.Finish().ok());
+    return session.Metrics().telemetry.histograms.at("session.watermark_lag");
+  };
+  const HistogramSnapshot scalar = run(false);
+  const HistogramSnapshot columnar = run(true);
+  EXPECT_EQ(scalar.count, events.size());
+  EXPECT_GT(scalar.count, scalar.buckets[0]);  // Some lags are nonzero.
+  EXPECT_EQ(columnar.count, scalar.count);
+  EXPECT_EQ(columnar.sum, scalar.sum);
+  EXPECT_EQ(columnar.buckets, scalar.buckets);
+}
+
+// --- Single-writer cells -----------------------------------------------------
+
+// The debug-build check behind the one-writer-per-cell contract: a cell
+// remembers the first thread that wrote it, and a write from another
+// thread aborts instead of racing its load+store update.
+TEST(SingleWriterDeathTest, SecondWriterThreadAborts) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "the single-writer check exists only without NDEBUG";
+#else
+  if (!kEnabled) GTEST_SKIP() << "compiled-out metrics have no cells";
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  // Writes once here, then once more from a second thread.
+  auto second_writer = [](auto write) {
+    write();
+    std::thread other(write);
+    other.join();
+  };
+  Counter counter;
+  EXPECT_DEATH(second_writer([&] { counter.Increment(0); }), "second thread");
+  Histogram hist;
+  EXPECT_DEATH(second_writer([&] { hist.Record(3, 7); }), "second thread");
+  MaxGauge gauge;
+  EXPECT_DEATH(second_writer([&] { gauge.UpdateMax(1, 9); }), "second thread");
+  HistogramCell cell;
+  EXPECT_DEATH(second_writer([&] { cell.Record(5); }), "second thread");
+  // One writer per cell across threads is the contract, not a breach.
+  Counter shared;
+  std::thread other([&] { shared.Increment(1); });
+  other.join();
+  shared.Increment(0);
+  EXPECT_EQ(shared.Total(), 2u);
+#endif
+}
+
+// Every counter is independent of the shard width: the sharded session
+// counts exactly what the single-shard run counts.
+void ExpectCountersMatchOneShard(const MetricsSnapshot& wide,
+                                 const MetricsSnapshot& one_shard) {
+  if (!kEnabled) {
+    EXPECT_TRUE(wide.counters.empty());
+    return;
+  }
+  EXPECT_EQ(wide.counters, one_shard.counters);
+}
+
+uint64_t HandoffSamples(const MetricsSnapshot& snap) {
+  return snap.histograms.at("executor.batch_handoff_ns").count;
+}
+
+// A structural drift replan runs two ShardedExecutors side by side until
+// the old one retires; both hand batches to workers of their own. The
+// workers record into shard-owned cells, and the session thread folds
+// them into the registry at every quiesce — so at 2 shards the hand-off
+// histogram stays exact through the crossover. Metrics() quiesces every
+// live executor, so calling it after each Push makes every delivery its
+// own batch: one per push, two while a crossover dual-feeds (a
+// structural kDriftReplan opened it and no kCrossoverDone closed it
+// yet). The histogram must gain exactly that after every push.
+TEST(SingleWriterCells, DriftCrossoverFoldsEveryHandoff) {
+  constexpr uint32_t kKeys = 4;
+  // η = 0.05: raw reads so cheap that the factor window the plan gains
+  // at the default η = 1 stops paying — the observed-rate replan evicts
+  // it, which changes the plan's structure (elasticity_test pins the
+  // result half of this crossover).
+  std::vector<Event> events;
+  events.reserve(6000);
+  for (int i = 0; i < 6000; ++i) {
+    events.push_back({.timestamp = static_cast<TimeT>(i) * 20,
+                      .key = static_cast<uint32_t>(i) % kKeys,
+                      .value = static_cast<double>(i % 313)});
+  }
+  auto run = [&](uint32_t shards, SessionResults* results) {
+    StreamSession::Options options;
+    options.num_keys = kKeys;
+    options.num_shards = shards;
+    options.adaptive.enabled = true;
+    options.adaptive.check_interval = 256;
+    options.adaptive.rate_alpha = 0.5;
+    options.adaptive.reoptimize_ratio = 2.0;
+    options.adaptive.min_events_between_replans = 1024;
+    StreamSession session(options);
+    EXPECT_TRUE(session
+                    .AddQuery(Query()
+                                  .Sum("v")
+                                  .From("s")
+                                  .PerKey("k")
+                                  .Tumbling(20)
+                                  .Tumbling(30)
+                                  .Tumbling(40),
+                              Collect(results))
+                    .ok());
+    uint64_t expected_batches = 0;
+    bool crossing = false;
+    for (size_t i = 0; i < events.size(); ++i) {
+      EXPECT_TRUE(session.Push(events[i]).ok());
+      const MetricsSnapshot snap = session.Metrics().telemetry;
+      if (!kEnabled || shards == 1) continue;
+      expected_batches += crossing ? 2 : 1;
+      EXPECT_EQ(HandoffSamples(snap), expected_batches) << "push " << i;
+      if (HandoffSamples(snap) != expected_batches) break;
+      int open = 0;
+      for (const TraceEvent& traced : snap.trace) {
+        if (traced.kind == TraceKind::kDriftReplan && traced.a == 1) ++open;
+        if (traced.kind == TraceKind::kCrossoverDone) --open;
+      }
+      crossing = open > 0;
+    }
+    EXPECT_TRUE(session.Finish().ok());
+    if (kEnabled && shards > 1) {
+      EXPECT_GT(expected_batches, events.size());  // Some dual feeding.
+      EXPECT_EQ(HandoffSamples(session.Metrics().telemetry),
+                expected_batches);
+    }
+    EXPECT_GE(session.Stats().drift_replans, 1);
+    return session.Metrics();
+  };
+  SessionResults one_results;
+  const StreamSession::SessionMetrics one = run(1, &one_results);
+  SessionResults two_results;
+  const StreamSession::SessionMetrics two = run(2, &two_results);
+  EXPECT_EQ(two_results, one_results);
+  ExpectCountersMatchOneShard(two.telemetry, one.telemetry);
+  if (kEnabled) {
+    int crossovers = 0;
+    for (const TraceEvent& event : two.telemetry.trace) {
+      if (event.kind == TraceKind::kDriftReplan && event.a == 1) ++crossovers;
+    }
+    EXPECT_GE(crossovers, 1) << "the drift replan must be structural";
+  }
+}
+
+// Past kCells shards, shard indices would alias metric cells (shards 4
+// and 20 on cell 4). Hand-off samples no longer touch registry cells
+// from the workers, so 20 shards fold exactly — here with a
+// bounded-lateness stream, so the reorder counters take part. One
+// PushBatch stays below the executor's drain interval, so a shard hands
+// off full batches only until Finish flushes its partial last one.
+TEST(SingleWriterCells, TwentyShardsFoldEveryHandoff) {
+  constexpr uint32_t kKeys = 40;
+  const std::vector<Event> events = ApplyBoundedDisorder(
+      GenerateSyntheticStream(12'000, kKeys, 93), 8, 94);
+  auto run = [&](uint32_t shards, SessionResults* results) {
+    StreamSession session(
+        {.num_keys = kKeys, .num_shards = shards, .max_delay = 8});
+    AddDashboards(session, results);
+    EXPECT_TRUE(session.PushBatch(events).ok());
+    EXPECT_TRUE(session.Finish().ok());
+    StreamSession::SessionMetrics metrics = session.Metrics();
+    if (kEnabled && shards > 1) {
+      const size_t batch = ShardedExecutor::Options{}.batch_size;
+      uint64_t expected_batches = 0;
+      uint64_t delivered = 0;
+      for (uint64_t n : metrics.stats.events_per_shard) {
+        expected_batches += (n + batch - 1) / batch;
+        delivered += n;
+      }
+      // Finish released every event that was not late.
+      EXPECT_EQ(delivered, events.size() - metrics.stats.late_events);
+      EXPECT_EQ(HandoffSamples(metrics.telemetry), expected_batches);
+    }
+    return metrics;
+  };
+  SessionResults one_results;
+  const StreamSession::SessionMetrics one = run(1, &one_results);
+  SessionResults wide_results;
+  const StreamSession::SessionMetrics wide = run(20, &wide_results);
+  EXPECT_EQ(wide.stats.num_shards, 20u);
+  EXPECT_EQ(wide_results, one_results);
+  ExpectCountersMatchOneShard(wide.telemetry, one.telemetry);
+  if (kEnabled) {
+    EXPECT_GT(wide.telemetry.counters.at("reorder.released_events"), 0u);
   }
 }
 
