@@ -15,17 +15,34 @@
 namespace fw {
 namespace durability {
 
+/// Stores `v` little-endian at `out` and returns the byte after it —
+/// the in-place form of ByteWriter, for encoders that write straight into
+/// a mapped frame (compilers merge the byte stores into one store).
+inline char* StoreU32(char* out, uint32_t v) {
+  for (int i = 0; i < 4; ++i) out[i] = static_cast<char>(v >> (8 * i));
+  return out + 4;
+}
+
+inline char* StoreU64(char* out, uint64_t v) {
+  for (int i = 0; i < 8; ++i) out[i] = static_cast<char>(v >> (8 * i));
+  return out + 8;
+}
+
 /// Appends fields to an owned byte buffer.
 class ByteWriter {
  public:
   void U8(uint8_t v) { buf_.push_back(static_cast<char>(v)); }
 
   void U32(uint32_t v) {
-    for (int i = 0; i < 4; ++i) U8(static_cast<uint8_t>(v >> (8 * i)));
+    char bytes[4];
+    StoreU32(bytes, v);
+    buf_.append(bytes, sizeof(bytes));
   }
 
   void U64(uint64_t v) {
-    for (int i = 0; i < 8; ++i) U8(static_cast<uint8_t>(v >> (8 * i)));
+    char bytes[8];
+    StoreU64(bytes, v);
+    buf_.append(bytes, sizeof(bytes));
   }
 
   void I64(int64_t v) { U64(static_cast<uint64_t>(v)); }

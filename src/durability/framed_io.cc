@@ -22,8 +22,6 @@ namespace {
 
 /// Largest single growth of a writer's reserved space.
 constexpr uint64_t kMaxGrowthStep = uint64_t{1} << 20;
-/// u32 length + u32 crc + type byte.
-constexpr uint64_t kFrameHeaderBytes = 9;
 
 std::string ErrnoText(const char* what, const std::string& path) {
   return std::string(what) + " " + path + ": " + std::strerror(errno);
@@ -32,10 +30,6 @@ std::string ErrnoText(const char* what, const std::string& path) {
 uint64_t PageSize() {
   static const uint64_t page = static_cast<uint64_t>(::sysconf(_SC_PAGESIZE));
   return page;
-}
-
-void StoreU32(char* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out[i] = static_cast<char>(v >> (8 * i));
 }
 
 }  // namespace
@@ -90,25 +84,34 @@ Status FramedFileWriter::Reserve(uint64_t end) {
   return Status::OK();
 }
 
-Status FramedFileWriter::Append(uint8_t type, std::string_view payload) {
+Status FramedFileWriter::BeginFrame(size_t payload_size, char** frame) {
   if (fd_ < 0) return Status::Internal("framed writer is closed");
-  if (payload.size() + 1 > kMaxFrameLength) {
+  if (payload_size + 1 > kMaxFrameLength) {
     return Status::InvalidArgument("frame payload too large: " +
-                                   std::to_string(payload.size()) + " bytes");
+                                   std::to_string(payload_size) + " bytes");
   }
-  const uint64_t end = bytes_ + kFrameHeaderBytes + payload.size();
+  const uint64_t end = bytes_ + kFrameHeaderBytes + payload_size;
   if (end > reserved_) FW_RETURN_IF_ERROR(Reserve(end));
-  uint32_t crc = Crc32c(0, &type, 1);
-  crc = Crc32c(crc, payload.data(), payload.size());
-  char* out = map_ + (bytes_ - map_offset_);
-  StoreU32(out, static_cast<uint32_t>(payload.size() + 1));
-  StoreU32(out + 4, crc);
-  out[8] = static_cast<char>(type);
-  if (!payload.empty()) {
-    std::memcpy(out + kFrameHeaderBytes, payload.data(), payload.size());
-  }
-  bytes_ = end;
+  *frame = map_ + (bytes_ - map_offset_);
   return Status::OK();
+}
+
+void FramedFileWriter::EndFrame(char* frame, uint8_t type,
+                                size_t payload_size) {
+  frame[8] = static_cast<char>(type);
+  StoreU32(frame + 4, Crc32c(0, frame + 8, payload_size + 1));
+  // The length goes in last (no store moves above the Crc32c call, which
+  // reads the frame): a kill before it leaves the zero tail, a kill
+  // between it and the CRC store a checksum mismatch — both end the log
+  // just before this frame.
+  StoreU32(frame, static_cast<uint32_t>(payload_size + 1));
+  bytes_ += kFrameHeaderBytes + payload_size;
+}
+
+Status FramedFileWriter::Append(uint8_t type, std::string_view payload) {
+  return AppendInPlace(type, payload.size(), [payload](char* out) {
+    if (!payload.empty()) std::memcpy(out, payload.data(), payload.size());
+  });
 }
 
 Status FramedFileWriter::Sync() {

@@ -13,6 +13,7 @@
 // persistence outside src/durability/ so no checkpoint bytes can bypass
 // this framing.
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -27,21 +28,28 @@ namespace durability {
 /// torn instead of driving a multi-gigabyte allocation.
 inline constexpr uint32_t kMaxFrameLength = 1u << 30;
 
+/// u32 length + u32 crc + type byte.
+inline constexpr size_t kFrameHeaderBytes = 9;
+
 /// Appends frames to one file (created/truncated by Open) through a
-/// MAP_SHARED mapping of it (DESIGN.md §16). Append reserves file space
-/// with posix_fallocate — growing geometrically from one page, in steps
-/// of at most 1 MiB, remapping on growth — and copies the frame into the
-/// mapping: an acknowledged frame sits in the page cache without a
-/// syscall, so a process kill loses nothing. Space is always reserved
-/// before it is stored to, so a full disk or RLIMIT_FSIZE fails Append
-/// with a Status instead of raising SIGBUS.
+/// MAP_SHARED mapping of it (DESIGN.md §16). An append reserves file
+/// space with posix_fallocate — growing geometrically from one page, in
+/// steps of at most 1 MiB, remapping on growth — and builds the frame at
+/// its final address in the mapping: an acknowledged frame sits in the
+/// page cache without a syscall, so a process kill loses nothing. Space
+/// is always reserved before it is stored to, so a full disk or
+/// RLIMIT_FSIZE fails the append with a Status instead of raising
+/// SIGBUS.
 ///
 /// While the file is open — and in a file a kill left behind — the
 /// reserved space past the last frame reads as zeros; FramedBuffer ends
 /// there ("implausible frame length 0"), which the changelog reader
-/// treats like any torn tail. Close() trims the file to its frames;
-/// Seal() also fsyncs it, the step before a file is published. Sync()
-/// forces the frames to stable storage and keeps the mapping.
+/// treats like any torn tail. A kill in the middle of an append leaves
+/// the frame's length field zero (it is stored last) or, failing that,
+/// a CRC mismatch — a torn tail either way. Close() trims the file to
+/// its frames; Seal() also fsyncs it, the step before a file is
+/// published. Sync() forces the frames to stable storage and keeps the
+/// mapping.
 /// Single-threaded, like everything the session owns.
 class FramedFileWriter {
  public:
@@ -52,6 +60,14 @@ class FramedFileWriter {
   FramedFileWriter& operator=(const FramedFileWriter&) = delete;
 
   Status Open(const std::string& path);
+  /// Appends one frame whose payload `encode(char* out)` writes in
+  /// place: exactly `payload_size` bytes at `out`, which points into the
+  /// mapping. The payload is checksummed where it landed and the header
+  /// is stored after it. `encode` must not fail; it runs only once the
+  /// space is reserved.
+  template <typename Encode>
+  Status AppendInPlace(uint8_t type, size_t payload_size, Encode&& encode);
+  /// AppendInPlace with a copy of `payload` as the encoder.
   Status Append(uint8_t type, std::string_view payload);
   Status Sync();
   /// Unmaps, trims the file to its frames and closes it, without
@@ -66,6 +82,12 @@ class FramedFileWriter {
   const std::string& path() const { return path_; }
 
  private:
+  /// Checks the writer is open and the frame fits, and reserves space
+  /// for it; `*frame` is where the frame starts in the mapping.
+  Status BeginFrame(size_t payload_size, char** frame);
+  /// Checksums the type byte and payload already at `frame` and stores
+  /// the header, length last; the frame then counts as written.
+  void EndFrame(char* frame, uint8_t type, size_t payload_size);
   /// Reserves and maps file space for at least `end` bytes.
   Status Reserve(uint64_t end);
   /// Unmaps and truncates the file to bytes_ (drops the zero tail).
@@ -79,6 +101,16 @@ class FramedFileWriter {
   uint64_t map_offset_ = 0;
   std::string path_;
 };
+
+template <typename Encode>
+Status FramedFileWriter::AppendInPlace(uint8_t type, size_t payload_size,
+                                       Encode&& encode) {
+  char* frame = nullptr;
+  FW_RETURN_IF_ERROR(BeginFrame(payload_size, &frame));
+  encode(frame + kFrameHeaderBytes);
+  EndFrame(frame, type, payload_size);
+  return Status::OK();
+}
 
 struct Frame {
   uint8_t type = 0;

@@ -17,7 +17,8 @@ DurabilityManager::DurabilityManager(const DurabilityOptions& options,
       snapshots_counter_(metrics->GetCounter("durability.snapshots")),
       truncate_failures_counter_(
           metrics->GetCounter("durability.truncate_failures")),
-      fsync_hist_(metrics->GetHistogram("durability.wal_fsync_ns")) {}
+      fsync_hist_(metrics->GetHistogram("durability.wal_fsync_ns")),
+      snapshot_hist_(metrics->GetHistogram("durability.snapshot_ns")) {}
 
 Result<std::unique_ptr<DurabilityManager>> DurabilityManager::CreateFresh(
     const DurabilityOptions& options, telemetry::MetricsRegistry* metrics) {
@@ -56,15 +57,28 @@ Result<std::unique_ptr<DurabilityManager>> DurabilityManager::Attach(
   return manager;
 }
 
-Status DurabilityManager::AppendRecord(uint8_t type,
-                                       const std::string& payload,
-                                       uint64_t events_in_record) {
+Status DurabilityManager::AppendEvents(const EventsView& events) {
+  const uint64_t before = wal_.bytes_written();
+  FW_RETURN_IF_ERROR(wal_.AppendInPlace(
+      kWalEvents, EventsPayloadSize(events.count),
+      [&events](char* out) { EncodeEventsPayload(events, out); }));
+  return Commit(before, events.count);
+}
+
+Status DurabilityManager::AppendChurn(uint8_t type,
+                                      const std::string& payload) {
   const uint64_t before = wal_.bytes_written();
   FW_RETURN_IF_ERROR(wal_.Append(type, payload));
+  return Commit(before, 0);
+}
+
+Status DurabilityManager::Commit(uint64_t bytes_before,
+                                 uint64_t events_in_record) {
+  const uint64_t bytes = wal_.bytes_written() - bytes_before;
   ++counters_.wal_records;
-  counters_.wal_bytes += wal_.bytes_written() - before;
+  counters_.wal_bytes += bytes;
   wal_records_counter_->Increment(0);
-  wal_bytes_counter_->Add(0, wal_.bytes_written() - before);
+  wal_bytes_counter_->Add(0, bytes);
   events_since_snapshot_ += events_in_record;
 
   switch (options_.fsync_policy) {
@@ -96,18 +110,13 @@ Status DurabilityManager::SyncNow() {
   return Status::OK();
 }
 
-Status DurabilityManager::AppendEvents(const EventColumns& columns) {
-  return AppendRecord(kWalEvents, EncodeEventsPayload(columns),
-                      columns.size());
-}
-
 Status DurabilityManager::AppendAddQuery(uint64_t id,
                                          const StreamQuery& query) {
-  return AppendRecord(kWalAddQuery, EncodeQueryPayload(id, query), 0);
+  return AppendChurn(kWalAddQuery, EncodeQueryPayload(id, query));
 }
 
 Status DurabilityManager::AppendRemoveQuery(uint64_t id) {
-  return AppendRecord(kWalRemoveQuery, EncodeRemoveQueryPayload(id), 0);
+  return AppendChurn(kWalRemoveQuery, EncodeRemoveQueryPayload(id));
 }
 
 bool DurabilityManager::SnapshotDue() const {

@@ -43,8 +43,13 @@ class DurabilityManager {
       telemetry::MetricsRegistry* metrics);
 
   /// Appends one admitted batch (write-ahead: call before applying the
-  /// events), then applies the fsync policy.
-  Status AppendEvents(const EventColumns& columns);
+  /// events), then applies the fsync policy. The record is encoded
+  /// straight into the changelog's mapping.
+  Status AppendEvents(const EventsView& events);
+  /// A whole batch.
+  Status AppendEvents(const EventColumns& columns) {
+    return AppendEvents(EventsView::Prefix(columns, columns.size()));
+  }
   /// Churn records. Always synced under kInterval too — churn is rare
   /// and losing a query subscription is worse than losing a batch.
   Status AppendAddQuery(uint64_t id, const StreamQuery& query);
@@ -71,6 +76,13 @@ class DurabilityManager {
   /// bookkeeping lands here. Requires covered_seq == segment_base().
   void NoteSnapshotPublished(uint64_t covered_seq);
 
+  /// Records one snapshot's wall time, checkpoint build through publish
+  /// and roll, into "durability.snapshot_ns". The session times it: the
+  /// checkpoint is built on its side.
+  void RecordSnapshotNanos(uint64_t nanos) {
+    snapshot_hist_->Record(0, nanos);
+  }
+
   struct Counters {
     uint64_t wal_records = 0;
     uint64_t wal_bytes = 0;
@@ -87,8 +99,11 @@ class DurabilityManager {
   DurabilityManager(const DurabilityOptions& options,
                     telemetry::MetricsRegistry* metrics);
 
-  Status AppendRecord(uint8_t type, const std::string& payload,
-                      uint64_t events_in_record);
+  /// Appends a churn record (a string payload; churn is rare).
+  Status AppendChurn(uint8_t type, const std::string& payload);
+  /// Counts the record appended after `bytes_before` changelog bytes,
+  /// then applies the fsync policy.
+  Status Commit(uint64_t bytes_before, uint64_t events_in_record);
   Status SyncNow();
 
   DurabilityOptions options_;
@@ -104,6 +119,8 @@ class DurabilityManager {
   telemetry::Counter* const truncate_failures_counter_;
   /// fsync latency distribution ("durability.wal_fsync_ns").
   telemetry::Histogram* const fsync_hist_;
+  /// Whole-snapshot latency distribution ("durability.snapshot_ns").
+  telemetry::Histogram* const snapshot_hist_;
 };
 
 }  // namespace durability

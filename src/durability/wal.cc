@@ -1,6 +1,7 @@
 #include "durability/wal.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdlib>
 
 #include "durability/codec.h"
@@ -47,13 +48,24 @@ bool ParseSnapshotFileName(std::string_view name, uint64_t* covered_seq) {
   return ParseNamed(name, "snap-", ".fws", covered_seq);
 }
 
+void EncodeEventsPayload(const EventsView& events, char* out) {
+  out = StoreU32(out, static_cast<uint32_t>(events.count));
+  for (size_t i = 0; i < events.count; ++i) {
+    out = StoreU64(out, static_cast<uint64_t>(events.timestamps[i]));
+  }
+  for (size_t i = 0; i < events.count; ++i) {
+    out = StoreU32(out, events.keys[i]);
+  }
+  for (size_t i = 0; i < events.count; ++i) {
+    out = StoreU64(out, std::bit_cast<uint64_t>(events.values[i]));
+  }
+}
+
 std::string EncodeEventsPayload(const EventColumns& columns) {
-  ByteWriter w;
-  w.U32(static_cast<uint32_t>(columns.size()));
-  for (TimeT t : columns.timestamps) w.I64(t);
-  for (uint32_t k : columns.keys) w.U32(k);
-  for (double v : columns.values) w.F64(v);
-  return w.Take();
+  std::string payload(EventsPayloadSize(columns.size()), '\0');
+  EncodeEventsPayload(EventsView::Prefix(columns, columns.size()),
+                      payload.data());
+  return payload;
 }
 
 Status DecodeEventsPayload(std::string_view payload, EventColumns* out) {

@@ -19,14 +19,17 @@
 // emitted results (the elasticity invariant), so recovery is free to
 // restore into any width.
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
 #include "durability/framed_io.h"
 #include "exec/columns.h"
+#include "exec/event.h"
 #include "query/query.h"
 
 namespace fw {
@@ -46,7 +49,36 @@ bool ParseSegmentFileName(std::string_view name, uint64_t* base_seq);
 std::string SnapshotFileName(uint64_t covered_seq);
 bool ParseSnapshotFileName(std::string_view name, uint64_t* covered_seq);
 
+/// `count` events in columnar layout, read where they lie — what the
+/// events encoder takes, so a scalar Push logs its Event and a batch
+/// logs any prefix of itself without building an EventColumns first.
+struct EventsView {
+  const TimeT* timestamps = nullptr;
+  const uint32_t* keys = nullptr;
+  const double* values = nullptr;
+  size_t count = 0;
+
+  /// One event: a view of count 1 over its fields.
+  static EventsView Of(const Event& event) {
+    return {&event.timestamp, &event.key, &event.value, 1};
+  }
+  /// The first `count` rows of `columns`.
+  static EventsView Prefix(const EventColumns& columns, size_t count) {
+    return {columns.timestamps.data(), columns.keys.data(),
+            columns.values.data(), count};
+  }
+};
+
 // Payload codecs (durability/codec.h wire format).
+
+/// Size of an events payload: the u32 count, then 8 + 4 + 8 bytes per
+/// event (timestamp, key and value-bit columns).
+constexpr size_t EventsPayloadSize(size_t count) { return 4 + 20 * count; }
+/// Writes the events payload of `events` — EventsPayloadSize(count)
+/// bytes — at `out`; the changelog passes a pointer into its mapping.
+void EncodeEventsPayload(const EventsView& events, char* out);
+/// The same payload as a string: the reference form tests compare
+/// logged bytes against.
 std::string EncodeEventsPayload(const EventColumns& columns);
 Status DecodeEventsPayload(std::string_view payload, EventColumns* out);
 std::string EncodeQueryPayload(uint64_t id, const StreamQuery& query);
@@ -64,6 +96,15 @@ class WalWriter {
   /// Starts a fresh segment whose first record will be `next_seq`.
   Status Open(const std::string& dir, uint64_t next_seq);
   Status Append(uint8_t type, std::string_view payload);
+  /// Appends a record whose payload `encode(char* out)` writes in place
+  /// (FramedFileWriter::AppendInPlace).
+  template <typename Encode>
+  Status AppendInPlace(uint8_t type, size_t payload_size, Encode&& encode) {
+    FW_RETURN_IF_ERROR(writer_.AppendInPlace(
+        type, payload_size, std::forward<Encode>(encode)));
+    ++next_seq_;
+    return Status::OK();
+  }
   Status Sync();
   /// Closes the current segment and starts a new one at next_seq().
   Status Roll();

@@ -763,7 +763,7 @@ Status StreamSession::Push(const Event& event) {
   // session state, so a crash between the two replays it instead of
   // losing it.
   if (options_.durability.enabled) {
-    Status logged = DurableAppend(event);
+    Status logged = DurableAppend(durability::EventsView::Of(event));
     if (!logged.ok()) return IngestStopped(0, event.timestamp, logged);
   }
   if (event.timestamp > watermark_) watermark_ = event.timestamp;
@@ -867,8 +867,11 @@ Status StreamSession::PushColumns(const EventColumns& columns) {
   // before any of it mutates session state. An append failure rejects
   // the entire batch (index 0): nothing was applied, so the caller's
   // resume position is the batch start — consistent with the contract.
+  // Only the accepted prefix is logged: a rejected suffix was never
+  // applied, and replay must not apply it either.
   if (options_.durability.enabled && accepted > 0) {
-    Status logged = DurableAppendColumns(columns, accepted);
+    Status logged =
+        DurableAppend(durability::EventsView::Prefix(columns, accepted));
     if (!logged.ok()) return IngestStopped(0, columns.timestamps[0], logged);
   }
 
@@ -1148,24 +1151,9 @@ Status StreamSession::CheckDurable() {
   return Status::OK();
 }
 
-Status StreamSession::DurableAppend(const Event& event) {
+Status StreamSession::DurableAppend(const durability::EventsView& events) {
   FW_RETURN_IF_ERROR(CheckDurable());
-  durable_scratch_.clear();
-  durable_scratch_.Append(event);
-  Status logged = durability_->AppendEvents(durable_scratch_);
-  if (!logged.ok()) durability_error_ = logged;
-  return logged;
-}
-
-Status StreamSession::DurableAppendColumns(const EventColumns& columns,
-                                           size_t accepted) {
-  FW_RETURN_IF_ERROR(CheckDurable());
-  // Only admitted events belong in the changelog: a rejected suffix was
-  // never applied, and replay must not apply it either.
-  Status logged = accepted == columns.size()
-                      ? durability_->AppendEvents(columns)
-                      : durability_->AppendEvents(
-                            SliceColumns(columns, 0, accepted));
+  Status logged = durability_->AppendEvents(events);
   if (!logged.ok()) durability_error_ = logged;
   return logged;
 }
@@ -1184,9 +1172,12 @@ void StreamSession::MaybeSnapshot() {
 }
 
 Status StreamSession::WriteDurableSnapshot() {
+  MonotonicTimer timer;
   durability::SnapshotContents contents;
   FW_RETURN_IF_ERROR(BuildDurableSnapshot(&contents));
-  return durability_->WriteSnapshot(std::move(contents));
+  FW_RETURN_IF_ERROR(durability_->WriteSnapshot(std::move(contents)));
+  durability_->RecordSnapshotNanos(timer.ElapsedNanos());
+  return Status::OK();
 }
 
 Status StreamSession::BuildDurableSnapshot(
@@ -1239,10 +1230,9 @@ Status StreamSession::ReplayRecord(const durability::WalRecord& record,
                                    const CallbackFactory& callbacks) {
   switch (record.type) {
     case durability::kWalEvents: {
-      EventColumns columns;
       FW_RETURN_IF_ERROR(
-          durability::DecodeEventsPayload(record.payload, &columns));
-      return PushColumns(columns);
+          durability::DecodeEventsPayload(record.payload, &replay_columns_));
+      return PushColumns(replay_columns_);
     }
     case durability::kWalAddQuery: {
       uint64_t id = 0;
@@ -1385,6 +1375,7 @@ Result<StreamSession::RecoveryInfo> StreamSession::Recover(
     }
     ++info.replayed_records;
   }
+  session->replay_columns_ = EventColumns();  // Replay is over: free it.
 
   // Publish a snapshot of the recovered state BEFORE resuming durable
   // logging: it covers everything replayed — including any torn tail in
@@ -1396,6 +1387,7 @@ Result<StreamSession::RecoveryInfo> StreamSession::Recover(
   // either leaves the directory unchanged (recovery re-runs) or
   // snapshot-covered (the torn segment is fully covered, so the reader
   // skips it).
+  MonotonicTimer snapshot_timer;
   durability::SnapshotContents recovery_snapshot;
   FW_RETURN_IF_ERROR(session->BuildDurableSnapshot(&recovery_snapshot));
   recovery_snapshot.meta.covered_seq = next_seq;
@@ -1412,6 +1404,7 @@ Result<StreamSession::RecoveryInfo> StreamSession::Recover(
   // Count the snapshot and truncate the files it covers now that the
   // fresh segment (base == next_seq) exists.
   session->durability_->NoteSnapshotPublished(next_seq);
+  session->durability_->RecordSnapshotNanos(snapshot_timer.ElapsedNanos());
 
   session->metrics_.RecordTrace(
       telemetry::TraceKind::kRecovery, timer.ElapsedNanos(),

@@ -25,6 +25,7 @@ namespace fw {
 
 namespace durability {
 class DurabilityManager;
+struct EventsView;
 struct SnapshotContents;
 struct WalRecord;
 }  // namespace durability
@@ -630,8 +631,7 @@ class StreamSession {
   /// append helpers run write-ahead — before the events/churn mutate any
   /// session state — and latch the first failure into durability_error_.
   Status CheckDurable() FW_REQUIRES(session_role_);
-  Status DurableAppend(const Event& event) FW_REQUIRES(session_role_);
-  Status DurableAppendColumns(const EventColumns& columns, size_t accepted)
+  Status DurableAppend(const durability::EventsView& events)
       FW_REQUIRES(session_role_);
   /// Publishes a snapshot if one is due; called between batches, never
   /// while a drift crossover is in flight (dual-pipeline state is
@@ -777,9 +777,9 @@ class StreamSession {
   std::unique_ptr<durability::DurabilityManager> durability_
       FW_GUARDED_BY(session_role_);
   Status durability_error_ FW_GUARDED_BY(session_role_);
-  /// Reusable single-event columns for the scalar Push append (keeps the
-  /// per-event WAL encode allocation-free once warm).
-  EventColumns durable_scratch_ FW_GUARDED_BY(session_role_);
+  /// Recover decodes every replayed events record into this one buffer,
+  /// so replay allocates only when a record outgrows it.
+  EventColumns replay_columns_ FW_GUARDED_BY(session_role_);
 };
 
 }  // namespace fw

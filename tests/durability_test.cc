@@ -180,6 +180,31 @@ TEST(FramedIo, WriteReadRoundTrip) {
   EXPECT_EQ(frames.frames_read(), 3u);
 }
 
+TEST(FramedIo, InPlaceAppendWritesTheSameFramesAsCopying) {
+  // Append is AppendInPlace with a memcpy encoder; an encoder that writes
+  // the bytes itself must produce the identical file, across enough
+  // frames to grow the reservation several times.
+  TempDir dir;
+  const std::string copied = dir.path + "/copied.bin";
+  const std::string in_place = dir.path + "/in_place.bin";
+  FramedFileWriter a;
+  FramedFileWriter b;
+  ASSERT_TRUE(a.Open(copied).ok());
+  ASSERT_TRUE(b.Open(in_place).ok());
+  for (int i = 0; i < 2000; ++i) {
+    const size_t size = static_cast<size_t>(i % 97);
+    const char fill = static_cast<char>('a' + i % 26);
+    ASSERT_TRUE(a.Append(3, std::string(size, fill)).ok());
+    ASSERT_TRUE(b.AppendInPlace(3, size, [size, fill](char* out) {
+                   for (size_t j = 0; j < size; ++j) out[j] = fill;
+                 }).ok());
+  }
+  EXPECT_EQ(a.bytes_written(), b.bytes_written());
+  ASSERT_TRUE(a.Close().ok());
+  ASSERT_TRUE(b.Close().ok());
+  EXPECT_EQ(ReadAll(in_place), ReadAll(copied));
+}
+
 TEST(FramedIo, DetectsTornAndFlippedTails) {
   TempDir dir;
   const std::string path = dir.path + "/frames.bin";
@@ -313,12 +338,33 @@ StreamQuery MakeQuery(const char* agg, TimeT range, TimeT slide,
   return query;
 }
 
+/// The events payload built field by field through ByteWriter, without
+/// the in-place encoder (ClosedSegmentBytesAreGolden pins the bytes).
+std::string ReferenceEventsPayload(const EventColumns& columns) {
+  durability::ByteWriter w;
+  w.U32(static_cast<uint32_t>(columns.size()));
+  for (TimeT t : columns.timestamps) w.I64(t);
+  for (uint32_t k : columns.keys) w.U32(k);
+  for (double v : columns.values) w.F64(v);
+  return w.Take();
+}
+
 TEST(WalCodec, EventsPayloadRoundTrip) {
   EventColumns columns;
   columns.Append({.timestamp = 3, .key = 1, .value = 21.5});
   columns.Append({.timestamp = 5, .key = 0, .value = -0.25});
   columns.Append({.timestamp = 5, .key = 2, .value = 1e300});
   const std::string payload = durability::EncodeEventsPayload(columns);
+  EXPECT_EQ(payload, ReferenceEventsPayload(columns));
+  EXPECT_EQ(payload.size(), durability::EventsPayloadSize(columns.size()));
+  // A view of one Event encodes like a one-row batch.
+  const Event event{.timestamp = -7, .key = 0xFFFFFFFFu, .value = -0.0};
+  EventColumns one;
+  one.Append(event);
+  std::string from_view(durability::EventsPayloadSize(1), '\0');
+  durability::EncodeEventsPayload(durability::EventsView::Of(event),
+                                  from_view.data());
+  EXPECT_EQ(from_view, ReferenceEventsPayload(one));
 
   EventColumns decoded;
   ASSERT_TRUE(durability::DecodeEventsPayload(payload, &decoded).ok());
@@ -1117,6 +1163,13 @@ TEST(SessionDurability, RecoverIsIdempotent) {
   EXPECT_EQ(again->replayed_records, 0u);
   EXPECT_EQ(again->session->QueryIds(), first_ids);
   EXPECT_EQ(again->session->Stats().events_pushed, first_pushed);
+  // The snapshot Recover publishes is timed like any other.
+  if (telemetry::kEnabled) {
+    EXPECT_EQ(again->session->Metrics()
+                  .telemetry.histograms.at("durability.snapshot_ns")
+                  .count,
+              1u);
+  }
 }
 
 // Out-of-domain timestamps (negative, or at/after 2^62) are refused before
@@ -1498,6 +1551,13 @@ TEST(SessionDurability, SnapshotTruncatesCoveredChangelog) {
   EXPECT_GE(stats.snapshots_written, 4u);
   EXPECT_EQ(stats.wal_records, 301u);  // 1 add + 300 events.
   EXPECT_GT(stats.wal_bytes, 0u);
+  // One durability.snapshot_ns sample per snapshot.
+  if (telemetry::kEnabled) {
+    const telemetry::HistogramSnapshot snapshot_ns =
+        session.Metrics().telemetry.histograms.at("durability.snapshot_ns");
+    EXPECT_EQ(snapshot_ns.count, stats.snapshots_written);
+    EXPECT_GT(snapshot_ns.sum, 0u);
+  }
 
   // Truncation invariant: exactly one snapshot on disk, and every
   // surviving changelog segment starts at or past what it covers.
@@ -1515,6 +1575,109 @@ TEST(SessionDurability, SnapshotTruncatesCoveredChangelog) {
       EXPECT_GE(base, covered_seq) << name << " predates " << snap_name;
     }
   }
+}
+
+// --- What the session logs -------------------------------------------------
+
+/// A durable session that only logs: no queries, so admitted events are
+/// dropped after the append, and no snapshots.
+StreamSession::Options LogOnlyOptions(const std::string& dir) {
+  StreamSession::Options options;
+  options.num_keys = 64;
+  options.durability.enabled = true;
+  options.durability.dir = dir;
+  options.durability.fsync_policy = FsyncPolicy::kNone;
+  options.durability.snapshot_interval_events = 0;
+  return options;
+}
+
+std::string SegmentBytes(const std::string& dir) {
+  return ReadAll(dir + "/" + durability::SegmentFileName(0));
+}
+
+TEST(SessionDurability, ScalarColumnarAndReferenceSegmentsAreByteIdentical) {
+  // Scalar Push encodes a view of its Event straight into the mapping,
+  // PushColumns a view of its batch. Both must write the bytes the
+  // string encoder's frames hold, one record per event, over enough
+  // events (33 bytes each) to cross many page boundaries and two 1 MiB
+  // growth steps of the reservation.
+  constexpr int kEvents = 70000;
+  std::vector<Event> events;
+  events.reserve(kEvents);
+  Rng rng(7);
+  for (int i = 0; i < kEvents; ++i) {
+    events.push_back({.timestamp = 3 * static_cast<TimeT>(i),
+                      .key = static_cast<uint32_t>(rng.Uniform(0, 63)),
+                      .value = rng.UniformReal(-1e3, 1e3)});
+  }
+  TempDir scalar;
+  TempDir columnar;
+  TempDir reference;
+  {
+    StreamSession session(LogOnlyOptions(scalar.path));
+    for (const Event& e : events) ASSERT_TRUE(session.Push(e).ok());
+  }
+  {
+    StreamSession session(LogOnlyOptions(columnar.path));
+    EventColumns row;
+    for (const Event& e : events) {
+      row.clear();
+      row.Append(e);
+      ASSERT_TRUE(session.PushColumns(row).ok());
+    }
+  }
+  {
+    durability::WalWriter wal;
+    ASSERT_TRUE(wal.Open(reference.path, 0).ok());
+    EventColumns row;
+    for (const Event& e : events) {
+      row.clear();
+      row.Append(e);
+      ASSERT_TRUE(wal.Append(durability::kWalEvents,
+                             durability::EncodeEventsPayload(row))
+                      .ok());
+    }
+    ASSERT_TRUE(wal.Close().ok());
+  }
+  const std::string expected = SegmentBytes(reference.path);
+  ASSERT_EQ(expected.size(), static_cast<size_t>(kEvents) * 33);
+  EXPECT_GT(expected.size(), size_t{2} << 20);
+  EXPECT_TRUE(SegmentBytes(scalar.path) == expected);
+  EXPECT_TRUE(SegmentBytes(columnar.path) == expected);
+}
+
+TEST(SessionDurability, RejectedSuffixLogsExactlyTheAcceptedPrefix) {
+  // Row 5 has a key outside the key space: PushColumns admits rows 0-4
+  // and logs exactly those, as one record — no copy of the prefix, and
+  // no byte of the rejected suffix.
+  EventColumns batch;
+  for (int i = 0; i < 9; ++i) {
+    batch.Append({.timestamp = 10 + i,
+                  .key = i == 5 ? 64u : static_cast<uint32_t>(i),
+                  .value = 0.5 * i});
+  }
+  EventColumns prefix;
+  for (size_t i = 0; i < 5; ++i) prefix.Append(batch[i]);
+
+  TempDir dir;
+  {
+    StreamSession session(LogOnlyOptions(dir.path));
+    const Status status = session.PushColumns(batch);
+    ASSERT_FALSE(status.ok());
+    EXPECT_NE(status.message().find("ingest stopped at event 5"),
+              std::string::npos)
+        << status.ToString();
+  }
+  TempDir reference;
+  {
+    durability::WalWriter wal;
+    ASSERT_TRUE(wal.Open(reference.path, 0).ok());
+    ASSERT_TRUE(wal.Append(durability::kWalEvents,
+                           ReferenceEventsPayload(prefix))
+                    .ok());
+    ASSERT_TRUE(wal.Close().ok());
+  }
+  EXPECT_EQ(SegmentBytes(dir.path), SegmentBytes(reference.path));
 }
 
 TEST(SessionDurability, FsyncPoliciesAndCounters) {
@@ -1789,6 +1952,36 @@ TEST(SessionDurabilityDeathTest, OutOfSpaceFailsAsStatusNotSignal) {
   TempDir dir;
   EXPECT_EXIT(PushPastTheFileSizeLimit(dir.path),
               ::testing::ExitedWithCode(0), "");
+
+  // The child exited without closing its segment, like a kill. The scalar
+  // Push whose in-place reservation failed wrote nothing: every frame
+  // that fit below the 64 KiB limit is intact (the add-query record, then
+  // one 33-byte record per acknowledged event), and the zero tail after
+  // them ends the log cleanly.
+  const size_t add_frame =
+      durability::kFrameHeaderBytes +
+      durability::EncodeQueryPayload(1, MakeQuery("SUM", 20, 20)).size();
+  const size_t acknowledged = ((64 << 10) - add_frame) / 33;
+  std::vector<durability::WalRecord> records;
+  ASSERT_TRUE(durability::ReadChangelog(dir.path, 0, &records).ok());
+  ASSERT_EQ(records.size(), 1 + acknowledged);
+  EXPECT_EQ(records[0].type, durability::kWalAddQuery);
+  for (size_t i = 1; i < records.size(); ++i) {
+    ASSERT_EQ(records[i].type, durability::kWalEvents);
+    EventColumns columns;
+    ASSERT_TRUE(
+        durability::DecodeEventsPayload(records[i].payload, &columns).ok());
+    ASSERT_EQ(columns.size(), 1u);
+    ASSERT_EQ(columns.timestamps[0], static_cast<TimeT>(i - 1));
+  }
+
+  StreamSession::Options options;
+  options.num_keys = 2;
+  Result<StreamSession::RecoveryInfo> recovered =
+      StreamSession::Recover(dir.path, options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(recovered->durable_events, acknowledged);
+  EXPECT_EQ(recovered->replayed_records, 1 + acknowledged);
 }
 
 }  // namespace
